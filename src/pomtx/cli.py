@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -167,20 +168,27 @@ def cmd_sweep_power(args) -> int:
     return 0
 
 
-def _jitter_for(device, args):
-    j = device.jitter
+def _jitter_for(device, mode, args):
+    """Jitter model for the selected mode, with that mode's own lifetime."""
+    name = args.mode or device.default_mode
+    if mode.tau_energy is None:
+        raise ParameterError(
+            f"mechanical.{name}.tau_energy_s: required for pulsed dynamics on mode {name}; "
+            "the config gives this mode no energy lifetime"
+        )
+    gamma = 1.0 / mode.tau_energy
     if getattr(args, "sigma_hz", None) is not None:
         if args.sigma_hz == 0:
-            return pulsed.JitterModel("none", 0.0, j.intrinsic_gamma)
-        return pulsed.JitterModel("gaussian-quasi-static", args.sigma_hz, j.intrinsic_gamma)
-    return j
+            return pulsed.JitterModel("none", 0.0, gamma)
+        return pulsed.JitterModel("gaussian-quasi-static", args.sigma_hz, gamma)
+    return replace(device.jitter, intrinsic_gamma=gamma)
 
 
 def cmd_pulse_trace(args) -> int:
     device, prov = load_config(args.config)
     rep = _start_report(args, "pulse-trace", prov)
     mode = device.mode(args.mode)
-    jm = _jitter_for(device, args)
+    jm = _jitter_for(device, mode, args)
     if args.sigma_hz is not None:
         rep["provenance"]["jitter.sigma_hz"] = "override:--sigma-hz"
     pulse_s = args.pulse_us * 1e-6 if args.pulse_us else device.pulse.trace_duration_s
@@ -189,8 +197,9 @@ def cmd_pulse_trace(args) -> int:
         mw_duration_s=pulse_s,
         repetition_period_s=device.pulse.repetition_period_s,
     )
-    tau = mode.tau_energy or (1.0 / jm.intrinsic_gamma)
-    t_grid = np.linspace(0.0, pulse_s + 4.0 * tau, args.points)
+    if args.points < 1:
+        raise ParameterError(f"--points must be >= 1, got {args.points}")
+    t_grid = np.linspace(0.0, pulse_s + 4.0 * mode.tau_energy, args.points)
     trace = pulsed.mode_population_trace(
         sched, jm, t_grid, detuning_hz=args.detuning_hz,
         n_mc=args.n_mc, seed=args.seed, method=args.method,
@@ -206,10 +215,12 @@ def cmd_pulse_trace(args) -> int:
         "sigma_hz": jm.sigma_hz,
         "rise_time_s": pulsed.fit_rise_time(t_grid[rising], trace.population[rising]),
         "decay_rate_per_s": pulsed.fit_decay_rate(t_grid[decaying], trace.population[decaying]),
-        "penalty_at_this_pulse": pulsed.loading_efficiency_penalty(
-            jm, pulse_s, n_mc=args.n_mc, seed=args.seed, method=args.method
-        ).value,
     }
+    at_pulse = pulsed.loading_efficiency_penalty(
+        jm, pulse_s, n_mc=args.n_mc, seed=args.seed, method=args.method
+    )
+    results["penalty_at_this_pulse"] = at_pulse.value
+    results["penalty_at_this_pulse_mc_error"] = at_pulse.mc_error
     if jm.loading_window_s is not None:
         anchored = pulsed.loading_efficiency_penalty(
             jm, n_mc=args.n_mc, seed=args.seed, method=args.method
@@ -228,7 +239,7 @@ def cmd_spectrum(args) -> int:
     rep = _start_report(args, "spectrum", prov)
     mode = device.mode(args.mode)
     f_m = mode.omega_m / TWO_PI
-    jm = _jitter_for(device, args)
+    jm = _jitter_for(device, mode, args)
     if args.sigma_hz is not None:
         rep["provenance"]["jitter.sigma_hz"] = "override:--sigma-hz"
     grid = args.span if args.span is not None else np.linspace(f_m - 250e3, f_m + 250e3, 201)

@@ -9,10 +9,16 @@ delta the coherent amplitude obeys
     dbeta/dt = -(gamma/2 + i delta) beta + Omega_d        (drive on)
     dbeta/dt = -(gamma/2 + i delta) beta                  (drive off)
 
-with the closed-form solution used throughout; the population is |beta|^2.
-Ensembles are averaged either by seeded Monte Carlo (the default; matches
-the counting experiment) or by deterministic Gauss-Hermite quadrature
-(used for calibration, where bisection needs a noise-free objective).
+with the closed-form solution used throughout.  The population |beta|^2 is
+evaluated in a real, cancellation-free form (see _single_shot) that keeps
+the t^2 rise at the start of the pulse.  Ensembles are averaged either by
+seeded Monte Carlo (the default; matches the counting experiment) or by
+deterministic Gauss-Hermite quadrature (used for calibration, where
+bisection needs a noise-free objective).  The Monte Carlo mean separates:
+each draw contributes a weight Omega^2 / (gamma^2/4 + delta^2) times a
+beat term sin^2(delta u / 2) at the in-pulse time u = min(t, T), and every
+post-pulse point is the mean at the pulse end times e^{-gamma (t - T)}.
+The ensemble is therefore evaluated only at the distinct in-pulse times.
 
 Calibration anchors
 -------------------
@@ -218,9 +224,6 @@ class PopulationTrace:
     method: str
     sigma_hz: float
 
-    def as_rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.t_s.tolist(), self.population.tolist()))
-
 
 @dataclass(frozen=True)
 class PenaltyResult:
@@ -234,13 +237,65 @@ class PenaltyResult:
 
 
 def _single_shot(t, delta, gamma: float, omega_d: float, t_pulse: float):
-    """Closed-form |beta(t)|^2 for one quasi-static detuning draw."""
-    s = gamma / 2.0 + 1j * np.asarray(delta, dtype=float)
+    """Closed-form |beta(t)|^2 for one quasi-static detuning draw.
+
+    With a = gamma/2 and tin = min(t, T), the driven amplitude is
+    Omega (1 - e^{-(a + i delta) tin}) / (a + i delta), whose squared modulus
+    is written in the real, cancellation-free form
+
+        Omega^2 [expm1(-a tin)^2 + 4 e^{-a tin} sin^2(delta tin / 2)] / (a^2 + delta^2)
+
+    (it keeps the Omega^2 t^2 rise at t -> 0), times the free decay
+    e^{-gamma max(t - T, 0)} after the pulse.
+    """
     t = np.asarray(t, dtype=float)
-    b_end = omega_d * -np.expm1(-s * t_pulse) / s
-    during = np.abs(omega_d * -np.expm1(-s * np.minimum(t, t_pulse)) / s) ** 2
-    after = np.abs(b_end) ** 2 * np.exp(-gamma * np.clip(t - t_pulse, 0.0, None))
-    return np.where(t <= t_pulse, during, after)
+    delta = np.asarray(delta, dtype=float)
+    a = gamma / 2.0
+    tin = np.minimum(t, t_pulse)
+    rise = np.expm1(-a * tin)
+    beat = np.sin(0.5 * delta * tin)
+    return (
+        omega_d**2
+        * (rise * rise + 4.0 * np.exp(-a * tin) * beat * beat)
+        / (a * a + delta * delta)
+        * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
+    )
+
+
+_CHUNK_ELEMENTS = 2_000_000
+
+
+def _mc_mean(t, deltas, gamma: float, omega_d: float, t_pulse: float) -> np.ndarray:
+    """Mean of _single_shot(t, delta_j) over the draws delta_j (rad/s).
+
+    The draw enters only through the weight w_j = Omega^2 / (a^2 + delta_j^2)
+    and the beat term sin^2(delta_j u / 2) at the in-pulse time u = min(t, T);
+    every post-pulse point is the mean at T times e^{-gamma (t - T)}.  So the
+    ensemble is evaluated once per distinct u, and the draw-dependent sum
+    sum_j w_j sin^2(delta_j u / 2) is accumulated as a matrix-vector product
+    over chunks of draws, each temporary holding at most _CHUNK_ELEMENTS.
+    The product is an einsum rather than BLAS: it adds the draws in a fixed
+    order, so seeded results repeat bit for bit whatever the BLAS threading.
+    """
+    a = gamma / 2.0
+    u, where = np.unique(np.minimum(t, t_pulse), return_inverse=True)
+    w = omega_d**2 / (a * a + deltas * deltas)
+    half_u = 0.5 * u
+    beat = np.zeros_like(u)
+    chunk = max(1, _CHUNK_ELEMENTS // u.size)
+    for lo in range(0, deltas.size, chunk):
+        s = np.multiply.outer(deltas[lo : lo + chunk], half_u)
+        np.sin(s, out=s)
+        np.square(s, out=s)
+        beat += np.einsum("i,ij->j", w[lo : lo + chunk], s)
+    rise = np.expm1(-a * u)
+    mean_u = (rise * rise * w.sum() + 4.0 * np.exp(-a * u) * beat) / deltas.size
+    return mean_u[where.reshape(t.shape)] * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
+
+
+def _check_n_mc(n_mc: int) -> None:
+    if n_mc < 1:
+        raise ParameterError(f"n_mc must be >= 1, got {n_mc}")
 
 
 def _gh_nodes():
@@ -278,6 +333,8 @@ def mode_population_trace(
         raise ParameterError("t_grid must not be empty")
     if np.any(t < 0):
         raise ParameterError("t_grid times must be >= 0")
+    if method == "mc":
+        _check_n_mc(n_mc)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
 
     if j.is_quiet:
@@ -294,12 +351,8 @@ def mode_population_trace(
     if method != "mc":
         raise ParameterError(f"unknown method {method!r}")
     deltas = 2 * np.pi * (detuning_hz + _draws(j, n_mc, seed))
-    total = np.zeros_like(t)
-    chunk = max(1, int(2e6 // max(t.size, 1)))
-    for lo in range(0, n_mc, chunk):
-        d = deltas[lo : lo + chunk, None]
-        total += _single_shot(t[None, :], d, gamma, om, tp).sum(axis=0)
-    return PopulationTrace(t, total / n_mc, n_mc, seed, "mc", j.sigma_hz)
+    pop = _mc_mean(t, deltas, gamma, om, tp)
+    return PopulationTrace(t, pop, n_mc, seed, "mc", j.sigma_hz)
 
 
 def conversion_spectrum(
@@ -321,6 +374,8 @@ def conversion_spectrum(
     f = np.asarray(freq_grid_hz, dtype=float)
     if f.size == 0:
         raise ParameterError("freq_grid must not be empty")
+    if method == "mc":
+        _check_n_mc(n_mc)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
     t_read = s.readout_at
 
@@ -335,7 +390,7 @@ def conversion_spectrum(
     elif method == "mc":
         draws = _draws(j, n_mc, seed)
         counts = np.empty_like(offsets)
-        chunk = max(1, int(2e6 // max(n_mc, 1)))
+        chunk = max(1, _CHUNK_ELEMENTS // n_mc)
         for lo in range(0, offsets.size, chunk):
             d = 2 * np.pi * (offsets[lo : lo + chunk, None] - draws[None, :])
             counts[lo : lo + chunk] = _single_shot(t_read, d, gamma, om, tp).mean(axis=1)
@@ -438,7 +493,10 @@ def loading_efficiency_penalty(
     Peaks are taken at the optimal readout instant for each case (searched
     over a dense grid spanning the loading pulse).  With an explicit pulse_s
     any jitter model is accepted; without one, the model's anchored
-    loading_window_s is used and the model must be calibrated.
+    loading_window_s is used and the model must be calibrated.  The Monte
+    Carlo mc_error is the sample standard error (ddof=1) of the n_mc
+    single-shot populations at the jittered peak instant, propagated to the
+    ratio; it leaves out the scatter of the peak instant itself.
     """
     if pulse_s is None:
         if j.is_quiet:
@@ -457,6 +515,8 @@ def loading_efficiency_penalty(
             pulse_s = j.loading_window_s
     if pulse_s <= 0:
         raise ParameterError("pulse_s must be > 0")
+    if method == "mc":
+        _check_n_mc(n_mc)
 
     if j.is_quiet:
         return PenaltyResult(1.0, 0.0, 0.0, pulse_s, 0, seed, "analytic")
@@ -471,27 +531,32 @@ def loading_efficiency_penalty(
     gamma = j.intrinsic_gamma
     quiet_peak = _single_shot(t, 0.0, gamma, 1.0, pulse_s).max()
     deltas = 2 * np.pi * _draws(j, n_mc, seed)
-    total = np.zeros_like(t)
-    total_sq = np.zeros_like(t)
-    chunk = max(1, int(2e6 // max(t.size, 1)))
-    for lo in range(0, n_mc, chunk):
-        vals = _single_shot(t[None, :], deltas[lo : lo + chunk, None], gamma, 1.0, pulse_s)
-        total += vals.sum(axis=0)
-        total_sq += (vals**2).sum(axis=0)
-    mean = total / n_mc
+    mean = _mc_mean(t, deltas, gamma, 1.0, pulse_s)
     i_star = int(np.argmax(mean))
-    var = max(total_sq[i_star] / n_mc - mean[i_star] ** 2, 0.0) * n_mc / max(n_mc - 1, 1)
-    se = np.sqrt(var / n_mc)
+    at_peak = _single_shot(t[i_star], deltas, gamma, 1.0, pulse_s)
+    se = at_peak.std(ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0
     value = float(quiet_peak / mean[i_star])
     return PenaltyResult(
         value, float(value * se / mean[i_star]), j.sigma_hz, pulse_s, n_mc, seed, "mc"
     )
 
 
-def fit_decay_rate(t, population) -> float:
-    """Exponential decay rate from a log-linear least-squares fit (1/s)."""
+def _fit_points(t, population, what: str):
     t = np.asarray(t, dtype=float)
     y = np.asarray(population, dtype=float)
+    if t.size < 3 or t.shape != y.shape:
+        raise ParameterError(
+            f"{what} needs at least 3 (t, population) points of matching shape, got "
+            f"{t.size} times and {y.size} populations"
+        )
+    if not np.ptp(t) > 0:
+        raise ParameterError(f"{what} needs a nonzero time span")
+    return t, y
+
+
+def fit_decay_rate(t, population) -> float:
+    """Exponential decay rate from a log-linear least-squares fit (1/s)."""
+    t, y = _fit_points(t, population, "decay-rate fit")
     if np.any(y <= 0):
         raise ParameterError("population must be positive for a log-linear decay fit")
     slope = np.polyfit(t, np.log(y), 1)[0]
@@ -504,8 +569,7 @@ def fit_rise_time(t, population) -> float:
     This is the amplitude-buildup form a coherently driven mode follows for
     sigma = 0, where it recovers tau = 2/gamma exactly.
     """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(population, dtype=float)
+    t, y = _fit_points(t, population, "rise-time fit")
 
     def resid(p):
         a, tau = p

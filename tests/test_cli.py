@@ -137,6 +137,40 @@ class TestSpectraCommands:
             67e3, rel=0.10
         )
 
+    def test_pulse_trace_reports_per_pulse_penalty_error(self, tmp_path):
+        rc = main([
+            "pulse-trace", "--n-mc", "500", "--points", "201",
+            "--out", "mc.json", "--csv", "mc.csv",
+        ])
+        assert rc == 0
+        res = read_report(tmp_path / "mc.json")["results"]
+        assert 0 < res["penalty_at_this_pulse_mc_error"] < res["penalty_at_this_pulse"]
+        assert 0 < res["penalty_mc_error"] < res["penalty_at_anchor_window"]
+
+
+class TestInvalidPulsedInputs:
+    @pytest.mark.parametrize("argv", [
+        ["pulse-trace", "--n-mc", "0"],
+        ["spectrum", "--n-mc", "-3"],
+        ["pulse-trace", "--points", "1"],
+        ["pulse-trace", "--points", "2"],
+        ["pulse-trace", "--points", "3"],
+        ["pulse-trace", "--points", "5"],
+        ["pulse-trace", "--points", "-4"],
+    ])
+    def test_invalid_sizes_exit_3(self, argv, capsys):
+        assert main(argv + ["--out", "bad.json", "--csv", "bad.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pomtx: validation error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["pulse-trace", "spectrum"])
+    def test_mode_without_lifetime_exits_3(self, command, capsys):
+        argv = [command, "--mode", "2.790GHz", "--method", "quadrature",
+                "--out", "m.json", "--csv", "m.csv"]
+        assert main(argv) == 3
+        assert "mechanical.2.790GHz.tau_energy_s" in capsys.readouterr().err
+
 
 class TestFitCommands:
     def test_fit_s11_on_self_generated_sweep(self, tmp_path):

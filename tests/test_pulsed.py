@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomtx.errors import CalibrationError, ParameterError, TableRangeError
 from pomtx.extraction import lorentzian_fit
@@ -26,6 +28,7 @@ from pomtx.pulsed import (
     per_pump_photon_efficiency,
     thermal_vs_pulse_energy,
 )
+from pomtx.pulsed import _single_shot
 
 TWO_PI = 2.0 * np.pi
 TAU_M = 61.4e-6
@@ -93,6 +96,93 @@ class TestSingleShotDynamics:
         t = np.linspace(0, 50e-6, 2001)
         trace = mode_population_trace(sched(50e-6), quiet(), t)
         assert fit_rise_time(t, trace.population) == pytest.approx(2.0 / GAMMA, rel=0.01)
+
+
+def complex_closed_form(t, delta, gamma, t_pulse, omega_d=1.0):
+    """|Omega (1 - e^{-s min(t,T)}) / s|^2 e^{-gamma max(t-T, 0)} with complex expm1."""
+    s = gamma / 2.0 + 1j * delta
+    t = np.asarray(t, dtype=float)
+    amp = omega_d * -np.expm1(-s * np.minimum(t, t_pulse)) / s
+    return np.abs(amp) ** 2 * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
+
+
+class TestRealKernel:
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        t_frac=st.one_of(st.just(0.0), st.floats(1e-9, 4.0)),
+        t_pulse=st.floats(1e-6, 1e-3),
+        delta_hz=st.floats(-1e6, 1e6),
+        omega_d=st.floats(0.1, 10.0),
+    )
+    def test_matches_complex_closed_form(self, t_frac, t_pulse, delta_hz, omega_d):
+        t = t_frac * t_pulse
+        got = _single_shot(t, TWO_PI * delta_hz, GAMMA, omega_d, t_pulse)
+        want = complex_closed_form(t, TWO_PI * delta_hz, GAMMA, t_pulse, omega_d)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_keeps_quadratic_rise_at_pulse_start(self):
+        t_pulse, omega_d = 26e-6, 3.0
+        t = 1e-9 * t_pulse
+        for delta in (0.0, TWO_PI * 27e3, TWO_PI * 250e3):
+            got = _single_shot(t, delta, GAMMA, omega_d, t_pulse)
+            assert got == pytest.approx(omega_d**2 * t**2, rel=1e-8, abs=0)
+
+    def test_mc_trace_straddling_pulse_end_matches_brute_force(self):
+        j = gaussian(27e3)
+        t_pulse, n_mc, seed = 26e-6, 3000, 5
+        # repeated times, points on both sides of T and T itself
+        t = np.concatenate([np.linspace(2e-6, 60e-6, 59), [26e-6, 26e-6, 10e-6, 150e-6]])
+        mc = mode_population_trace(sched(t_pulse), j, t, n_mc=n_mc, seed=seed,
+                                   detuning_hz=4e3)
+        deltas = TWO_PI * (4e3 + np.random.default_rng(seed).normal(0.0, j.sigma_hz, n_mc))
+        brute = oracle_population(t[None, :], deltas[:, None], GAMMA, t_pulse).mean(axis=0)
+        np.testing.assert_allclose(mc.population, brute, rtol=1e-10, atol=0)
+
+    def test_penalty_error_is_sample_standard_error_at_argmax(self):
+        j = gaussian(27e3)
+        pulse_s, n_mc, seed, n_t = 26e-6, 2000, 8, 201
+        p = loading_efficiency_penalty(j, pulse_s, n_mc=n_mc, seed=seed, t_points=n_t)
+        t = np.linspace(0.0, pulse_s, n_t)
+        deltas = TWO_PI * np.random.default_rng(seed).normal(0.0, j.sigma_hz, n_mc)
+        vals = oracle_population(t[None, :], deltas[:, None], GAMMA, pulse_s)
+        mean = vals.mean(axis=0)
+        i_star = int(np.argmax(mean))
+        se = vals[:, i_star].std(ddof=1) / np.sqrt(n_mc)
+        value = oracle_population(t, 0.0, GAMMA, pulse_s).max() / mean[i_star]
+        assert p.value == pytest.approx(value, rel=1e-10)
+        assert p.mc_error == pytest.approx(value * se / mean[i_star], rel=1e-9)
+
+    def test_seeded_ensembles_repeat_bit_for_bit(self):
+        j = gaussian(27e3)
+        grid = np.linspace(-100e3, 100e3, 41)
+        runs = [
+            (
+                conversion_spectrum(sched(26e-6), j, grid, 0.0, n_mc=3000, seed=4),
+                loading_efficiency_penalty(j, 26e-6, n_mc=3000, seed=4),
+            )
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
+
+class TestInvalidSizes:
+    @pytest.mark.parametrize("n_mc", [0, -3])
+    def test_mc_entry_points_reject_empty_ensembles(self, n_mc):
+        j = gaussian(27e3)
+        with pytest.raises(ParameterError, match="n_mc"):
+            mode_population_trace(sched(26e-6), j, [1e-6, 2e-6], n_mc=n_mc)
+        with pytest.raises(ParameterError, match="n_mc"):
+            conversion_spectrum(sched(26e-6), j, [0.0], 0.0, n_mc=n_mc)
+        with pytest.raises(ParameterError, match="n_mc"):
+            loading_efficiency_penalty(j, 26e-6, n_mc=n_mc)
+
+    @pytest.mark.parametrize("fit", [fit_rise_time, fit_decay_rate])
+    def test_fits_need_three_points_over_a_nonzero_span(self, fit):
+        with pytest.raises(ParameterError, match="at least 3"):
+            fit([1e-6, 2e-6], [1.0, 2.0])
+        with pytest.raises(ParameterError, match="nonzero time span"):
+            fit([5e-6, 5e-6, 5e-6], [1.0, 1.0, 1.0])
 
 
 class TestEnsembleAgainstQuadratureOracle:
