@@ -28,7 +28,7 @@ from .errors import (
     TransducerError,
     ValidationError,
 )
-from .reports import base_report, jsonify, write_report
+from .reports import base_report, write_report
 from .spectra import load_spectrum, read_table, write_table
 
 TWO_PI = 2.0 * np.pi
@@ -84,14 +84,14 @@ def cmd_budget(args) -> int:
         optical_pulse=device.red_pulse(mode_name=mode_name),
     )
     budget = pulsed.efficiency_budget(device, op)
-    rep["results"] = jsonify(budget.as_dict())
+    rep["results"] = budget.as_dict()
     rep["results"]["operating_point"] = {
         "mode": op.mode,
         "temperature_k": op.temperature_k,
         "optical_energy_at_device_j": op.optical_pulse.energy_at_device_j,
     }
     out, _ = _report_paths(args, "budget")
-    write_report(out, jsonify(rep))
+    write_report(out, rep)
     print(f"total conversion efficiency: {budget.total:.3e}  (report: {out})")
     return 0
 
@@ -137,8 +137,8 @@ def cmd_s21(args) -> int:
         write_table(path, ["freq_hz", "amplitude"], [args.span, amp])
         files.append(path)
         per_nc[f"{n_c:g}"] = details
-    rep["results"] = jsonify({"files": files, "modes": per_nc})
-    write_report(out, jsonify(rep))
+    rep["results"] = {"files": files, "modes": per_nc}
+    write_report(out, rep)
     print(f"wrote {', '.join(files)}  (report: {out})")
     return 0
 
@@ -156,47 +156,50 @@ def cmd_sweep_power(args) -> int:
     out, csv = _report_paths(args, "sweep-power")
     write_table(csv, ["n_c", "fwhm_hz", "rel_output"], [n_c, gamma / TWO_PI, rel_out])
     i_pk = int(np.argmax(rel_out))
-    rep["results"] = jsonify({
+    rep["results"] = {
         "file": csv,
         "mode": args.mode or device.default_mode,
         "c0": optomech.single_photon_cooperativity(device.optical, mode),
         "peak_n_c": n_c[i_pk],
         "peak_cooperativity": c_om[i_pk],
-    })
-    write_report(out, jsonify(rep))
+    }
+    write_report(out, rep)
     print(f"wrote {csv}  (report: {out})")
     return 0
 
 
-def _jitter_for(device, mode, args):
-    """Jitter model for the selected mode, with that mode's own lifetime."""
+def _pulsed_setup(args, command: str, default_pulse_s: str):
+    """Report, mode, jitter model and pulse schedule of a pulsed command.
+
+    The jitter model takes the selected mode's own lifetime.  --pulse-us,
+    whenever given, replaces the config's pulse.<default_pulse_s>, so a zero
+    or negative length fails PulseSchedule validation.
+    """
+    device, prov = load_config(args.config)
+    rep = _start_report(args, command, prov)
     name = args.mode or device.default_mode
+    mode = device.mode(args.mode)
     if mode.tau_energy is None:
         raise ParameterError(
             f"mechanical.{name}.tau_energy_s: required for pulsed dynamics on mode {name}; "
             "the config gives this mode no energy lifetime"
         )
     gamma = 1.0 / mode.tau_energy
-    if getattr(args, "sigma_hz", None) is not None:
-        if args.sigma_hz == 0:
-            return pulsed.JitterModel("none", 0.0, gamma)
-        return pulsed.JitterModel("gaussian-quasi-static", args.sigma_hz, gamma)
-    return replace(device.jitter, intrinsic_gamma=gamma)
+    if args.sigma_hz is None:
+        jm = replace(device.jitter, intrinsic_gamma=gamma)
+    else:
+        rep["provenance"]["jitter.sigma_hz"] = "override:--sigma-hz"
+        jm = pulsed.JitterModel("none", 0.0, gamma) if args.sigma_hz == 0 \
+            else pulsed.JitterModel("gaussian-quasi-static", args.sigma_hz, gamma)
+    pulse_s = getattr(device.pulse, default_pulse_s) if args.pulse_us is None \
+        else args.pulse_us * 1e-6
+    sched = pulsed.PulseSchedule(mw_freq_hz=mode.omega_m / TWO_PI, mw_duration_s=pulse_s)
+    return rep, mode, jm, sched
 
 
 def cmd_pulse_trace(args) -> int:
-    device, prov = load_config(args.config)
-    rep = _start_report(args, "pulse-trace", prov)
-    mode = device.mode(args.mode)
-    jm = _jitter_for(device, mode, args)
-    if args.sigma_hz is not None:
-        rep["provenance"]["jitter.sigma_hz"] = "override:--sigma-hz"
-    pulse_s = args.pulse_us * 1e-6 if args.pulse_us else device.pulse.trace_duration_s
-    sched = pulsed.PulseSchedule(
-        mw_freq_hz=mode.omega_m / TWO_PI,
-        mw_duration_s=pulse_s,
-        repetition_period_s=device.pulse.repetition_period_s,
-    )
+    rep, mode, jm, sched = _pulsed_setup(args, "pulse-trace", "trace_duration_s")
+    pulse_s = sched.mw_duration_s
     if args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
     t_grid = np.linspace(0.0, pulse_s + 4.0 * mode.tau_energy, args.points)
@@ -228,38 +231,28 @@ def cmd_pulse_trace(args) -> int:
         results["penalty_at_anchor_window"] = anchored.value
         results["penalty_mc_error"] = anchored.mc_error
         results["anchor_window_s"] = jm.loading_window_s
-    rep["results"] = jsonify(results)
-    write_report(out, jsonify(rep))
+    rep["results"] = results
+    write_report(out, rep)
     print(f"wrote {csv}  (report: {out})")
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    device, prov = load_config(args.config)
-    rep = _start_report(args, "spectrum", prov)
-    mode = device.mode(args.mode)
-    f_m = mode.omega_m / TWO_PI
-    jm = _jitter_for(device, mode, args)
-    if args.sigma_hz is not None:
-        rep["provenance"]["jitter.sigma_hz"] = "override:--sigma-hz"
+    rep, _, jm, sched = _pulsed_setup(args, "spectrum", "mw_duration_s")
+    f_m = sched.mw_freq_hz
     grid = args.span if args.span is not None else np.linspace(f_m - 250e3, f_m + 250e3, 201)
-    sched = pulsed.PulseSchedule(
-        mw_freq_hz=f_m,
-        mw_duration_s=args.pulse_us * 1e-6 if args.pulse_us else device.pulse.mw_duration_s,
-        repetition_period_s=device.pulse.repetition_period_s,
-    )
     spec = pulsed.conversion_spectrum(
         sched, jm, grid, f_m, n_mc=args.n_mc, seed=args.seed, method=args.method
     )
     out, csv = _report_paths(args, "spectrum")
     write_table(csv, ["freq_hz", "counts_rel"], [spec[:, 0], spec[:, 1]])
     fit = extraction.lorentzian_fit(spec[:, 0], spec[:, 1])
-    rep["results"] = jsonify({
+    rep["results"] = {
         "file": csv,
         "sigma_hz": jm.sigma_hz,
         "lorentzian_fit": fit.as_dict(),
-    })
-    write_report(out, jsonify(rep))
+    }
+    write_report(out, rep)
     print(f"fitted FWHM: {fit.params['fwhm']/1e3:.1f} kHz  (report: {out})")
     return 0
 
@@ -301,8 +294,8 @@ def cmd_fit(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown fit model {args.model!r}")
 
-    rep["results"] = jsonify(fit.as_dict())
-    write_report(out, jsonify(rep))
+    rep["results"] = fit.as_dict()
+    write_report(out, rep)
     summary = ", ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
     print(f"{args.model}: {summary}  (report: {out})")
     return 0
@@ -319,15 +312,15 @@ def cmd_piezo_tensor(args) -> int:
         ["row"] + [f"col{j}" for j in range(1, 7)],
         [np.arange(1, 4)] + [tensor.entries[:, j] for j in range(6)],
     )
-    rep["results"] = jsonify({
+    rep["results"] = {
         "phi_rad": phi,
         "e14_si": tensor.e14,
         "entries_si": tensor.entries,
         "out_of_plane": coupling,
         "frobenius_norm": tensor.frobenius_norm(),
         "file": csv,
-    })
-    write_report(out, jsonify(rep))
+    }
+    write_report(out, rep)
     print(f"e31={coupling['e31']:.4g} C/m^2, e32={coupling['e32']:.4g} C/m^2  (report: {out})")
     return 0
 
@@ -364,8 +357,8 @@ def cmd_match_design(args) -> int:
     best["match_freq_hz"] = 1.0 / (
         TWO_PI * np.sqrt(best["l_match_h"] * (best["c_match_f"] + device.c_res))
     )
-    rep["results"] = jsonify({"best": best, "file": csv, "target_freq_hz": omega / TWO_PI})
-    write_report(out, jsonify(rep))
+    rep["results"] = {"best": best, "file": csv, "target_freq_hz": omega / TWO_PI}
+    write_report(out, rep)
     print(
         f"best |S11|={best['s11_abs']:.4f} at L={best['l_match_h']*1e9:.1f} nH, "
         f"C={best['c_match_f']*1e15:.2f} fF  (report: {out})"

@@ -417,17 +417,16 @@ def load_config(path: str | os.PathLike) -> tuple[DeviceModel, dict[str, str]]:
                 noise_rows.append((e, n))
         mark("noise_table")
 
-    # jitter needs a lifetime to define the intrinsic linewidth
+    # the pulsed dynamics take the default mode's lifetime; enabled jitter needs one
     intrinsic_gamma = 1.0
-    if jitter_kwargs["distribution"] != "none" and isinstance(default_mode, str):
-        mode = mechanical.get(default_mode)
-        if mode is not None:
-            if mode.tau_energy is None:
-                ck.violations.append(
-                    f"mechanical.{default_mode}.tau_energy_s: required when jitter is enabled"
-                )
-            else:
-                intrinsic_gamma = 1.0 / mode.tau_energy
+    mode = mechanical.get(default_mode) if isinstance(default_mode, str) else None
+    if mode is not None:
+        if mode.tau_energy is not None:
+            intrinsic_gamma = 1.0 / mode.tau_energy
+        elif jitter_kwargs["distribution"] != "none":
+            ck.violations.append(
+                f"mechanical.{default_mode}.tau_energy_s: required when jitter is enabled"
+            )
 
     if ck.violations:
         raise ValidationError(ck.violations)

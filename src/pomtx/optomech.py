@@ -95,17 +95,6 @@ class MechanicalMode:
         ):
             raise ParameterError(f"tau_energy must be > 0, got {self.tau_energy!r}")
 
-    @property
-    def gamma_intrinsic(self) -> float:
-        """Lifetime-limited energy decay rate 1/tau_energy (rad/s)."""
-        if self.tau_energy is None:
-            raise ParameterError("mode has no tau_energy set")
-        return 1.0 / self.tau_energy
-
-    def sideband_resolution(self, cavity: OpticalCavity) -> float:
-        """omega_m/kappa; below ~1 the device is not fully sideband resolved."""
-        return self.omega_m / cavity.kappa
-
 
 @dataclass(frozen=True)
 class DriveTone:

@@ -11,12 +11,16 @@ delta the coherent amplitude obeys
 
 with the closed-form solution used throughout.  The population |beta|^2 is
 evaluated in a real, cancellation-free form (see _single_shot) that keeps
-the t^2 rise at the start of the pulse.  Ensembles are averaged either by
-seeded Monte Carlo (the default; matches the counting experiment) or by
-deterministic Gauss-Hermite quadrature (used for calibration, where
-bisection needs a noise-free objective).  The Monte Carlo mean separates:
-each draw contributes a weight Omega^2 / (gamma^2/4 + delta^2) times a
-beat term sin^2(delta u / 2) at the in-pulse time u = min(t, T), and every
+the t^2 rise at the start of the pulse.
+
+Every ensemble is one weighted mean over jitter offsets x_j with weights
+p_j, sum_j p_j f(x_j) / sum_j p_j.  The two methods differ only in where
+(x_j, p_j) come from (see _ensemble): seeded Monte Carlo draws with unit
+weights (the default; matches the counting experiment) or deterministic
+Gauss-Hermite nodes and weights (used for calibration, where bisection
+needs a noise-free objective).  The mean over time separates: each offset
+contributes a weight p_j Omega^2 / (gamma^2/4 + delta_j^2) times a beat
+term sin^2(delta_j u / 2) at the in-pulse time u = min(t, T), and every
 post-pulse point is the mean at the pulse end times e^{-gamma (t - T)}.
 The ensemble is therefore evaluated only at the distinct in-pulse times.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -85,16 +90,13 @@ class PulseSchedule:
     mw_drive_rate is the effective coherent drive amplitude Omega_d (rad/s);
     the protocol's shapes and ratios are Omega_d-normalised, so its absolute
     value only sets the population scale.  readout_delay_s is measured from
-    the start of the microwave pulse.  repetition_period_s must leave many
-    mechanical lifetimes between cycles so the mode re-thermalises.
+    the start of the microwave pulse.
     """
 
     mw_freq_hz: float
     mw_duration_s: float
     mw_drive_rate: float = 1.0
     readout_delay_s: float | None = None
-    optical_pulse: DriveTone | None = None
-    repetition_period_s: float = 1e-3
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mw_freq_hz) and self.mw_freq_hz > 0):
@@ -103,8 +105,6 @@ class PulseSchedule:
             raise ParameterError("mw_duration_s must be > 0")
         if self.mw_drive_rate < 0:
             raise ParameterError("mw_drive_rate must be >= 0")
-        if self.repetition_period_s <= 0:
-            raise ParameterError("repetition_period_s must be > 0")
         if self.readout_delay_s is not None and self.readout_delay_s < 0:
             raise ParameterError("readout_delay_s must be >= 0")
 
@@ -265,21 +265,51 @@ def _single_shot(t, delta, gamma: float, omega_d: float, t_pulse: float):
 _CHUNK_ELEMENTS = 2_000_000
 
 
-def _mc_mean(t, deltas, gamma: float, omega_d: float, t_pulse: float) -> np.ndarray:
-    """Mean of _single_shot(t, delta_j) over the draws delta_j (rad/s).
+@cache
+def _unit_gaussian_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights of N(0, 1), computed once.
 
-    The draw enters only through the weight w_j = Omega^2 / (a^2 + delta_j^2)
+    hermegauss solves a _GH_ORDER x _GH_ORDER eigenproblem, which costs several
+    times a whole quadrature spectrum, and calibration evaluates dozens of those.
+    """
+    nodes, weights = hermegauss(_GH_ORDER)
+    weights = weights / np.sqrt(2.0 * np.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _ensemble(j: JitterModel, method: str, n_mc: int, seed):
+    """Jitter offsets x_j (Hz) and weights p_j of the ensemble mean.
+
+    method="mc" draws n_mc seeded offsets with unit weights; method="quadrature"
+    takes the _GH_ORDER Gauss-Hermite nodes and weights of the unit Gaussian,
+    scaled to sigma_hz.  This is the one place that reads method.
+    """
+    if method == "mc":
+        if n_mc < 1:
+            raise ParameterError(f"n_mc must be >= 1, got {n_mc}")
+        return np.random.default_rng(seed).normal(0.0, j.sigma_hz, n_mc), np.ones(n_mc)
+    if method == "quadrature":
+        nodes, weights = _unit_gaussian_rule()
+        return j.sigma_hz * nodes, weights
+    raise ParameterError(f"unknown method {method!r}")
+
+
+def _ensemble_mean(t, deltas, p, gamma: float, omega_d: float, t_pulse: float) -> np.ndarray:
+    """Weighted mean of _single_shot(t, delta_j) over the offsets delta_j (rad/s).
+
+    The offset enters only through the weight w_j = p_j Omega^2 / (a^2 + delta_j^2)
     and the beat term sin^2(delta_j u / 2) at the in-pulse time u = min(t, T);
     every post-pulse point is the mean at T times e^{-gamma (t - T)}.  So the
-    ensemble is evaluated once per distinct u, and the draw-dependent sum
+    ensemble is evaluated once per distinct u, and the offset-dependent sum
     sum_j w_j sin^2(delta_j u / 2) is accumulated as a matrix-vector product
-    over chunks of draws, each temporary holding at most _CHUNK_ELEMENTS.
-    The product is an einsum rather than BLAS: it adds the draws in a fixed
+    over chunks of offsets, each temporary holding at most _CHUNK_ELEMENTS.
+    The product is an einsum rather than BLAS: it adds the offsets in a fixed
     order, so seeded results repeat bit for bit whatever the BLAS threading.
     """
     a = gamma / 2.0
     u, where = np.unique(np.minimum(t, t_pulse), return_inverse=True)
-    w = omega_d**2 / (a * a + deltas * deltas)
+    w = p * omega_d**2 / (a * a + deltas * deltas)
     half_u = 0.5 * u
     beat = np.zeros_like(u)
     chunk = max(1, _CHUNK_ELEMENTS // u.size)
@@ -289,25 +319,8 @@ def _mc_mean(t, deltas, gamma: float, omega_d: float, t_pulse: float) -> np.ndar
         np.square(s, out=s)
         beat += np.einsum("i,ij->j", w[lo : lo + chunk], s)
     rise = np.expm1(-a * u)
-    mean_u = (rise * rise * w.sum() + 4.0 * np.exp(-a * u) * beat) / deltas.size
+    mean_u = (rise * rise * w.sum() + 4.0 * np.exp(-a * u) * beat) / p.sum()
     return mean_u[where.reshape(t.shape)] * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
-
-
-def _check_n_mc(n_mc: int) -> None:
-    if n_mc < 1:
-        raise ParameterError(f"n_mc must be >= 1, got {n_mc}")
-
-
-def _gh_nodes():
-    nodes, weights = hermegauss(_GH_ORDER)
-    return nodes, weights / np.sqrt(2.0 * np.pi)
-
-
-def _draws(j: JitterModel, n_mc: int, seed):
-    rng = np.random.default_rng(seed)
-    if j.is_quiet:
-        return np.zeros(n_mc)
-    return rng.normal(0.0, j.sigma_hz, n_mc)
 
 
 def mode_population_trace(
@@ -333,26 +346,17 @@ def mode_population_trace(
         raise ParameterError("t_grid must not be empty")
     if np.any(t < 0):
         raise ParameterError("t_grid times must be >= 0")
-    if method == "mc":
-        _check_n_mc(n_mc)
+    x, p = _ensemble(j, method, n_mc, seed)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
 
     if j.is_quiet:
         pop = _single_shot(t, 2 * np.pi * detuning_hz, gamma, om, tp)
         return PopulationTrace(t, pop, 0, seed, "analytic", 0.0)
 
-    if method == "quadrature":
-        nodes, w = _gh_nodes()
-        pop = np.zeros_like(t)
-        for x, wi in zip(nodes, w):
-            pop += wi * _single_shot(t, 2 * np.pi * (detuning_hz + j.sigma_hz * x), gamma, om, tp)
-        return PopulationTrace(t, pop, 0, None, "quadrature", j.sigma_hz)
-
-    if method != "mc":
-        raise ParameterError(f"unknown method {method!r}")
-    deltas = 2 * np.pi * (detuning_hz + _draws(j, n_mc, seed))
-    pop = _mc_mean(t, deltas, gamma, om, tp)
-    return PopulationTrace(t, pop, n_mc, seed, "mc", j.sigma_hz)
+    pop = _ensemble_mean(t, 2 * np.pi * (detuning_hz + x), p, gamma, om, tp)
+    if method == "mc":
+        return PopulationTrace(t, pop, n_mc, seed, "mc", j.sigma_hz)
+    return PopulationTrace(t, pop, 0, None, "quadrature", j.sigma_hz)
 
 
 def conversion_spectrum(
@@ -374,28 +378,20 @@ def conversion_spectrum(
     f = np.asarray(freq_grid_hz, dtype=float)
     if f.size == 0:
         raise ParameterError("freq_grid must not be empty")
-    if method == "mc":
-        _check_n_mc(n_mc)
+    x, p = _ensemble(j, method, n_mc, seed)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
     t_read = s.readout_at
 
     offsets = f - mode_freq_hz
     if j.is_quiet:
         counts = _single_shot(t_read, 2 * np.pi * offsets, gamma, om, tp)
-    elif method == "quadrature":
-        nodes, w = _gh_nodes()
-        counts = np.zeros_like(offsets)
-        for x, wi in zip(nodes, w):
-            counts += wi * _single_shot(t_read, 2 * np.pi * (offsets - j.sigma_hz * x), gamma, om, tp)
-    elif method == "mc":
-        draws = _draws(j, n_mc, seed)
-        counts = np.empty_like(offsets)
-        chunk = max(1, _CHUNK_ELEMENTS // n_mc)
-        for lo in range(0, offsets.size, chunk):
-            d = 2 * np.pi * (offsets[lo : lo + chunk, None] - draws[None, :])
-            counts[lo : lo + chunk] = _single_shot(t_read, d, gamma, om, tp).mean(axis=1)
     else:
-        raise ParameterError(f"unknown method {method!r}")
+        counts = np.empty_like(offsets)
+        chunk = max(1, _CHUNK_ELEMENTS // x.size)
+        for lo in range(0, offsets.size, chunk):
+            d = 2 * np.pi * (offsets[lo : lo + chunk, None] - x[None, :])
+            shots = _single_shot(t_read, d, gamma, om, tp)
+            counts[lo : lo + chunk] = np.einsum("ij,j->i", shots, p) / p.sum()
     return np.column_stack([f, counts])
 
 
@@ -437,20 +433,6 @@ def calibrate_jitter(
     )
 
 
-def _penalty_quadrature(j: JitterModel, pulse_s: float, drive_rate: float = 1.0,
-                        t_points: int = 2001) -> float:
-    t = np.linspace(0.0, pulse_s, t_points)
-    gamma = j.intrinsic_gamma
-    quiet_peak = _single_shot(t, 0.0, gamma, drive_rate, pulse_s).max()
-    if j.is_quiet:
-        return 1.0
-    nodes, w = _gh_nodes()
-    mean = np.zeros_like(t)
-    for x, wi in zip(nodes, w):
-        mean += wi * _single_shot(t, 2 * np.pi * j.sigma_hz * x, gamma, drive_rate, pulse_s)
-    return float(quiet_peak / mean.max())
-
-
 def anchor_loading_window(
     j: JitterModel, penalty_target: float = 6.9, *, bracket=(5e-6, 2e-3)
 ) -> JitterModel:
@@ -467,15 +449,17 @@ def anchor_loading_window(
     if penalty_target <= 1.0:
         raise ParameterError("penalty_target must exceed 1")
     lo, hi = bracket
-    p_hi = _penalty_quadrature(j, hi)
+
+    def penalty(tp: float) -> float:
+        return loading_efficiency_penalty(j, tp, method="quadrature").value
+
+    p_hi = penalty(hi)
     if p_hi < penalty_target:
         raise CalibrationError(
             f"penalty target {penalty_target} unreachable: even a {hi*1e6:.0f} us "
             f"loading window only reaches {p_hi:.2f} at sigma = {j.sigma_hz:.0f} Hz"
         )
-    window = brentq(
-        lambda tp: _penalty_quadrature(j, tp) - penalty_target, lo, hi, xtol=1e-9
-    )
+    window = brentq(lambda tp: penalty(tp) - penalty_target, lo, hi, xtol=1e-9)
     return replace(j, loading_window_s=float(window))
 
 
@@ -515,27 +499,23 @@ def loading_efficiency_penalty(
             pulse_s = j.loading_window_s
     if pulse_s <= 0:
         raise ParameterError("pulse_s must be > 0")
-    if method == "mc":
-        _check_n_mc(n_mc)
+    x, p = _ensemble(j, method, n_mc, seed)
+    if method == "mc" and n_mc < 2:
+        raise ParameterError(f"n_mc must be >= 2 for a Monte Carlo error, got {n_mc}")
 
     if j.is_quiet:
         return PenaltyResult(1.0, 0.0, 0.0, pulse_s, 0, seed, "analytic")
 
-    if method == "quadrature":
-        value = _penalty_quadrature(j, pulse_s, t_points=t_points)
-        return PenaltyResult(value, 0.0, j.sigma_hz, pulse_s, 0, None, "quadrature")
-    if method != "mc":
-        raise ParameterError(f"unknown method {method!r}")
-
     t = np.linspace(0.0, pulse_s, t_points)
     gamma = j.intrinsic_gamma
-    quiet_peak = _single_shot(t, 0.0, gamma, 1.0, pulse_s).max()
-    deltas = 2 * np.pi * _draws(j, n_mc, seed)
-    mean = _mc_mean(t, deltas, gamma, 1.0, pulse_s)
+    deltas = 2 * np.pi * x
+    mean = _ensemble_mean(t, deltas, p, gamma, 1.0, pulse_s)
     i_star = int(np.argmax(mean))
+    value = float(_single_shot(t, 0.0, gamma, 1.0, pulse_s).max() / mean[i_star])
+    if method == "quadrature":
+        return PenaltyResult(value, 0.0, j.sigma_hz, pulse_s, 0, None, "quadrature")
     at_peak = _single_shot(t[i_star], deltas, gamma, 1.0, pulse_s)
-    se = at_peak.std(ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0
-    value = float(quiet_peak / mean[i_star])
+    se = at_peak.std(ddof=1) / np.sqrt(n_mc)
     return PenaltyResult(
         value, float(value * se / mean[i_star]), j.sigma_hz, pulse_s, n_mc, seed, "mc"
     )
@@ -668,26 +648,17 @@ def per_pump_photon_efficiency(c0: float, eta_electrical: float, eta_o: float) -
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators: nondecreasing projection of y."""
-    y = y.astype(float).copy()
-    w = np.ones_like(y)
-    blocks = [[i] for i in range(len(y))]
-    vals = list(y)
-    wts = list(w)
-    i = 0
-    while i < len(vals) - 1:
-        if vals[i] > vals[i + 1] + 0.0:
-            merged_w = wts[i] + wts[i + 1]
-            merged_v = (vals[i] * wts[i] + vals[i + 1] * wts[i + 1]) / merged_w
-            vals[i : i + 2] = [merged_v]
-            wts[i : i + 2] = [merged_w]
-            blocks[i : i + 2] = [blocks[i] + blocks[i + 1]]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    out = np.empty_like(y)
-    for v, idx in zip(vals, blocks):
-        out[idx] = v
-    return out
+    means: list[float] = []
+    sizes: list[int] = []
+    for v in np.asarray(y, dtype=float):
+        m, n = float(v), 1
+        while means and means[-1] > m:
+            n_prev = sizes.pop()
+            m = (means.pop() * n_prev + m * n) / (n_prev + n)
+            n += n_prev
+        means.append(m)
+        sizes.append(n)
+    return np.repeat(means, sizes)
 
 
 def thermal_vs_pulse_energy(table, energy_j: float) -> float:

@@ -62,4 +62,5 @@ def canonical_json(payload: dict) -> str:
 
 
 def write_report(path: str | os.PathLike, payload: dict) -> None:
-    atomic_write_text(path, canonical_json(payload))
+    """Write payload as canonical JSON, converting numpy values on the way."""
+    atomic_write_text(path, canonical_json(jsonify(payload)))

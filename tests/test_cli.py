@@ -157,6 +157,9 @@ class TestInvalidPulsedInputs:
         ["pulse-trace", "--points", "3"],
         ["pulse-trace", "--points", "5"],
         ["pulse-trace", "--points", "-4"],
+        ["pulse-trace", "--pulse-us", "0"],
+        ["spectrum", "--pulse-us", "0"],
+        ["pulse-trace", "--n-mc", "1"],
     ])
     def test_invalid_sizes_exit_3(self, argv, capsys):
         assert main(argv + ["--out", "bad.json", "--csv", "bad.csv"]) == 3

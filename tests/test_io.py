@@ -99,6 +99,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match="tau_energy_s"):
             load_config(p)
 
+    def test_quiet_config_takes_default_mode_lifetime(self, tmp_path):
+        raw = json.loads(paper_device_path().read_text())
+        raw["jitter"]["distribution"] = "none"
+        p = tmp_path / "quiet.json"
+        p.write_text(json.dumps(raw))
+        model, _ = load_config(p)
+        assert model.jitter.is_quiet
+        assert model.jitter.intrinsic_gamma == 1.0 / model.mode().tau_energy
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.json")

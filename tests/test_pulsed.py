@@ -28,7 +28,7 @@ from pomtx.pulsed import (
     per_pump_photon_efficiency,
     thermal_vs_pulse_energy,
 )
-from pomtx.pulsed import _single_shot
+from pomtx.pulsed import _isotonic, _single_shot
 
 TWO_PI = 2.0 * np.pi
 TAU_M = 61.4e-6
@@ -176,6 +176,19 @@ class TestInvalidSizes:
             conversion_spectrum(sched(26e-6), j, [0.0], 0.0, n_mc=n_mc)
         with pytest.raises(ParameterError, match="n_mc"):
             loading_efficiency_penalty(j, 26e-6, n_mc=n_mc)
+
+    def test_penalty_error_needs_two_draws(self):
+        with pytest.raises(ParameterError, match="n_mc must be >= 2"):
+            loading_efficiency_penalty(gaussian(27e3), 26e-6, n_mc=1, seed=1)
+
+    @pytest.mark.parametrize("jitter", [quiet(), gaussian(27e3)], ids=["quiet", "gaussian"])
+    def test_unknown_method_rejected(self, jitter):
+        with pytest.raises(ParameterError, match="unknown method"):
+            mode_population_trace(sched(26e-6), jitter, [1e-6, 2e-6], method="bogus")
+        with pytest.raises(ParameterError, match="unknown method"):
+            conversion_spectrum(sched(26e-6), jitter, [0.0], 0.0, method="bogus")
+        with pytest.raises(ParameterError, match="unknown method"):
+            loading_efficiency_penalty(jitter, 26e-6, method="bogus")
 
     @pytest.mark.parametrize("fit", [fit_rise_time, fit_decay_rate])
     def test_fits_need_three_points_over_a_nonzero_span(self, fit):
@@ -492,6 +505,20 @@ class TestThermalVsPulseEnergy:
     def test_unsorted_table_rejected(self):
         with pytest.raises(ParameterError):
             thermal_vs_pulse_energy([(20e-15, 0.4), (10e-15, 0.2)], 15e-15)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30))
+    def test_isotonic_is_the_nondecreasing_least_squares_fit(self, values):
+        y = np.array(values)
+        fit = _isotonic(y)
+        resid = y - fit
+        # optimality of the projection onto the nondecreasing cone: the residual
+        # sums to zero, is orthogonal to the fit, and has no positive tail sum
+        assert np.all(np.diff(fit) >= 0)
+        assert resid.sum() == pytest.approx(0.0, abs=1e-9)
+        assert np.dot(resid, fit) == pytest.approx(0.0, abs=1e-9)
+        assert np.all(np.cumsum(resid[::-1]) <= 1e-9)
+        np.testing.assert_array_equal(_isotonic(np.sort(y)), np.sort(y))
 
     def test_isotonic_regularisation(self):
         # a non-monotone middle row is pooled with its neighbour
