@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .em_circuit import (
     BvdParams,
     KineticInductanceModel,
+    MatchDesign,
     MatchingParams,
     bvd_motional_branch,
     electrical_s11,
@@ -13,6 +14,7 @@ from .em_circuit import (
     input_impedance,
     keff_from_admittance,
     kinetic_inductance_at,
+    match_design,
     matched_load,
     resonance_vs_temperature,
 )

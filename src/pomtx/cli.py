@@ -129,14 +129,13 @@ def cmd_s21(args) -> int:
     device, prov = load_config(args.config)
     rep = _start_report(args, "s21", prov)
     out, csv = _report_paths(args, "s21")
-    files = []
-    per_nc = {}
+    amps, per_nc = [], {}
     for n_c in args.nc:
-        amp, details = _s21_amplitude(device, args.span, n_c, args.temperature_k)
-        path = csv.replace(".csv", f"_nc{n_c:g}.csv")
+        amp, per_nc[f"{n_c:g}"] = _s21_amplitude(device, args.span, n_c, args.temperature_k)
+        amps.append(amp)
+    files = [csv.replace(".csv", f"_nc{n_c:g}.csv") for n_c in args.nc]
+    for path, amp in zip(files, amps):
         write_table(path, ["freq_hz", "amplitude"], [args.span, amp])
-        files.append(path)
-        per_nc[f"{n_c:g}"] = details
     rep["results"] = {"files": files, "modes": per_nc}
     write_report(out, rep)
     print(f"wrote {', '.join(files)}  (report: {out})")
@@ -208,8 +207,6 @@ def cmd_pulse_trace(args) -> int:
         n_mc=args.n_mc, seed=args.seed, method=args.method,
     )
     out, csv = _report_paths(args, "pulse-trace")
-    write_table(csv, ["time_s", "population"], [trace.t_s, trace.population])
-
     rising = t_grid <= pulse_s
     decaying = t_grid >= pulse_s
     results = {
@@ -232,6 +229,7 @@ def cmd_pulse_trace(args) -> int:
         results["penalty_mc_error"] = anchored.mc_error
         results["anchor_window_s"] = jm.loading_window_s
     rep["results"] = results
+    write_table(csv, ["time_s", "population"], [trace.t_s, trace.population])
     write_report(out, rep)
     print(f"wrote {csv}  (report: {out})")
     return 0
@@ -245,13 +243,13 @@ def cmd_spectrum(args) -> int:
         sched, jm, grid, f_m, n_mc=args.n_mc, seed=args.seed, method=args.method
     )
     out, csv = _report_paths(args, "spectrum")
-    write_table(csv, ["freq_hz", "counts_rel"], [spec[:, 0], spec[:, 1]])
     fit = extraction.lorentzian_fit(spec[:, 0], spec[:, 1])
     rep["results"] = {
         "file": csv,
         "sigma_hz": jm.sigma_hz,
         "lorentzian_fit": fit.as_dict(),
     }
+    write_table(csv, ["freq_hz", "counts_rel"], [spec[:, 0], spec[:, 1]])
     write_report(out, rep)
     print(f"fitted FWHM: {fit.params['fwhm']/1e3:.1f} kHz  (report: {out})")
     return 0
@@ -328,40 +326,24 @@ def cmd_piezo_tensor(args) -> int:
 def cmd_match_design(args) -> int:
     device, prov = load_config(args.config)
     rep = _start_report(args, "match-design", prov)
-    mode = device.mode(args.mode)
-    bvd = device.bvd_for(args.mode)
-    omega = mode.omega_m
-    l_grid = args.l_span if args.l_span is not None else np.linspace(100e-9, 300e-9, 81)
-    c_grid = args.c_span if args.c_span is not None else np.linspace(5e-15, 30e-15, 81)
-
-    rows_l, rows_c, rows_s, rows_eta = [], [], [], []
-    best = None
-    for l_h in l_grid:
-        for c_f in c_grid:
-            m = em_circuit.MatchingParams(
-                l_match=l_h, c_match=c_f,
-                r_loss=device.matching.r_loss, z_source=device.matching.z_source,
-            )
-            s11 = abs(em_circuit.electrical_s11(m, bvd, omega))
-            eta = float(em_circuit.electromechanical_efficiency(m, bvd, omega))
-            rows_l.append(l_h)
-            rows_c.append(c_f)
-            rows_s.append(s11)
-            rows_eta.append(eta)
-            if best is None or s11 < best["s11_abs"]:
-                best = {"l_match_h": float(l_h), "c_match_f": float(c_f),
-                        "s11_abs": float(s11), "eta_em": eta}
+    omega = device.mode(args.mode).omega_m
+    design = em_circuit.match_design(
+        device.bvd_for(args.mode), omega,
+        args.l_span if args.l_span is not None else np.linspace(100e-9, 300e-9, 81),
+        args.c_span if args.c_span is not None else np.linspace(5e-15, 30e-15, 81),
+        r_loss=device.matching.r_loss, z_source=device.matching.z_source,
+    )
     out, csv = _report_paths(args, "match-design")
     write_table(csv, ["l_match_h", "c_match_f", "s11_abs", "eta_em"],
-                [rows_l, rows_c, rows_s, rows_eta])
-    best["match_freq_hz"] = 1.0 / (
-        TWO_PI * np.sqrt(best["l_match_h"] * (best["c_match_f"] + device.c_res))
-    )
+                [design.l_mesh.ravel(), design.c_mesh.ravel(),
+                 design.s11_abs.ravel(), design.eta_em.ravel()])
+    best = design.best()
     rep["results"] = {"best": best, "file": csv, "target_freq_hz": omega / TWO_PI}
     write_report(out, rep)
+    edge = "; on the grid edge, widen --l-span/--c-span" if best["on_grid_edge"] else ""
     print(
         f"best |S11|={best['s11_abs']:.4f} at L={best['l_match_h']*1e9:.1f} nH, "
-        f"C={best['c_match_f']*1e15:.2f} fF  (report: {out})"
+        f"C={best['c_match_f']*1e15:.2f} fF{edge}  (report: {out})"
     )
     return 0
 

@@ -16,8 +16,10 @@ Power dissipated in R_m is power converted into mechanical motion, so the
 electromechanical delivery efficiency is P(R_m) / P_available.
 
 All impedance/scattering functions accept scalar or ndarray angular
-frequency and broadcast.  Angular frequency (rad/s) is used throughout this
-module; conversion from ordinary frequency happens at the file/CLI boundary.
+frequency and broadcast; they share one unvalidated network kernel, which
+match_design also evaluates over a whole grid of L and C values at once.
+Angular frequency (rad/s) is used throughout this module; conversion from
+ordinary frequency happens at the file/CLI boundary.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import k as K_BOLTZMANN
 
 from .errors import ParameterError
+
+K_BOLTZMANN = 1.380649e-23  # J/K, exact in SI-2019
 
 __all__ = [
     "BvdParams",
@@ -39,6 +42,8 @@ __all__ = [
     "electrical_s11",
     "matched_load",
     "electromechanical_efficiency",
+    "MatchDesign",
+    "match_design",
     "kinetic_inductance_at",
     "resonance_vs_temperature",
     "keff_from_admittance",
@@ -147,18 +152,34 @@ def bvd_motional_branch(p: BvdParams) -> MotionalBranch:
     return MotionalBranch(r_m=r_m, l_m=l_m, c_m=c_m)
 
 
-def _branch_impedances(m: MatchingParams, b: BvdParams | None, omega):
-    """Impedance of the shunt section (C_match in parallel with the BVD)."""
+def _check_omega(omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ParameterError("omega must be > 0 (the network is a capacitive open at DC)")
-    y_shunt = 1j * omega * m.c_match
+    return omega
+
+
+def _network(l, c, r_loss: float, z_source: float, b: BvdParams | None, omega):
+    """Input impedance and delivery efficiency of the LC + BVD network.
+
+    No validation; l, c and omega broadcast, so a grid of l and c values is
+    one array evaluation.  Returns (Z_in, eta_em), with eta_em None when
+    ``b`` is None (no motional branch to deliver power to).
+    """
+    y_shunt = 1j * omega * c
     if b is not None:
         y_shunt = y_shunt + 1j * omega * b.c_res
         br = bvd_motional_branch(b)
         z_mot = br.r_m + 1j * omega * br.l_m + 1.0 / (1j * omega * br.c_m)
         y_shunt = y_shunt + 1.0 / z_mot
-    return 1.0 / y_shunt
+    z_par = 1.0 / y_shunt
+    z_in = r_loss + 1j * omega * l + z_par
+    if b is None:
+        return z_in, None
+    # unit-amplitude source; P_avail = V^2 / (8 Z_src)
+    v_node = 1.0 / (z_source + z_in) * z_par
+    p_rm = 0.5 * np.abs(v_node / z_mot) ** 2 * br.r_m
+    return z_in, p_rm / (1.0 / (8.0 * z_source))
 
 
 def input_impedance(m: MatchingParams, b: BvdParams | None, omega):
@@ -167,15 +188,13 @@ def input_impedance(m: MatchingParams, b: BvdParams | None, omega):
     ``b=None`` drops the piezo entirely (a bare test resonator).  Re(Z) >= 0
     for every frequency since the network is passive.
     """
-    z_par = _branch_impedances(m, b, omega)
-    omega = np.asarray(omega, dtype=float)
-    z = m.r_loss + 1j * omega * m.l_match + z_par
+    z, _ = _network(m.l_match, m.c_match, m.r_loss, m.z_source, b, _check_omega(omega))
     return z if z.ndim else complex(z)
 
 
 def electrical_s11(m: MatchingParams, b: BvdParams | None, omega):
     """Reflection coefficient (Z - Z_src)/(Z + Z_src) at the source reference."""
-    z = np.asarray(input_impedance(m, b, omega))
+    z, _ = _network(m.l_match, m.c_match, m.r_loss, m.z_source, b, _check_omega(omega))
     gamma = (z - m.z_source) / (z + m.z_source)
     return gamma if gamma.ndim else complex(gamma)
 
@@ -193,18 +212,73 @@ def electromechanical_efficiency(m: MatchingParams, b: BvdParams, omega):
     Available power for a source of peak amplitude V behind Z_src is
     V^2/(8 Z_src); the conjugate-matched lossless network reaches 1.
     """
-    omega = np.asarray(omega, dtype=float)
-    z_par = _branch_impedances(m, b, omega)
-    z_in = m.r_loss + 1j * omega * m.l_match + z_par
-    # unit-amplitude source
-    i_in = 1.0 / (m.z_source + z_in)
-    v_node = i_in * z_par
-    br = bvd_motional_branch(b)
-    z_mot = br.r_m + 1j * omega * br.l_m + 1.0 / (1j * omega * br.c_m)
-    p_rm = 0.5 * np.abs(v_node / z_mot) ** 2 * br.r_m
-    p_avail = 1.0 / (8.0 * m.z_source)
-    eta = p_rm / p_avail
+    _require(b is not None, "electromechanical_efficiency needs the piezo (b is None)")
+    _, eta = _network(m.l_match, m.c_match, m.r_loss, m.z_source, b, _check_omega(omega))
     return eta if eta.ndim else float(eta)
+
+
+@dataclass(frozen=True)
+class MatchDesign:
+    """|S11| and eta_em over a grid of matching resonators, and its best point.
+
+    The meshes are (n_L, n_C) with L along axis 0.  The best point is the
+    first minimum of |S11| in row-major order (L outer, C inner);
+    ``on_grid_edge`` is true when it sits on the first or last L or C value,
+    where the true optimum may lie outside the grid.
+    """
+
+    l_mesh: np.ndarray
+    c_mesh: np.ndarray
+    s11_abs: np.ndarray
+    eta_em: np.ndarray
+    best_index: tuple[int, int]
+    match_freq_hz: float
+
+    @property
+    def on_grid_edge(self) -> bool:
+        (i, j), (n_l, n_c) = self.best_index, self.s11_abs.shape
+        return i in (0, n_l - 1) or j in (0, n_c - 1)
+
+    def best(self) -> dict:
+        """The best point as report fields."""
+        ij = self.best_index
+        return {
+            "l_match_h": float(self.l_mesh[ij]),
+            "c_match_f": float(self.c_mesh[ij]),
+            "s11_abs": float(self.s11_abs[ij]),
+            "eta_em": float(self.eta_em[ij]),
+            "match_freq_hz": self.match_freq_hz,
+            "on_grid_edge": self.on_grid_edge,
+        }
+
+
+def _grid(values, name: str) -> np.ndarray:
+    grid = np.asarray(values, dtype=float)
+    _require(grid.ndim == 1 and grid.size > 0, f"{name} grid must be a non-empty 1-D array")
+    bad = ~(np.isfinite(grid) & (grid > 0))
+    if bad.any():  # name the first offending value, as MatchingParams would
+        _finite_positive(float(grid[bad][0]), name)
+    return grid
+
+
+def match_design(b: BvdParams, omega: float, l_grid, c_grid, r_loss: float = 0.0,
+                 z_source: float = 50.0) -> MatchDesign:
+    """|S11| and eta_em at angular frequency omega over every (L, C) of the grids.
+
+    Each grid and parameter is validated once, as MatchingParams would
+    validate one point; the network is then one array evaluation.
+    """
+    l_grid = _grid(l_grid, "l_match")
+    c_grid = _grid(c_grid, "c_match")
+    # r_loss and z_source are checked as MatchingParams checks them
+    MatchingParams(float(l_grid[0]), float(c_grid[0]), r_loss, z_source)
+    _finite_positive(omega, "omega")
+    z, eta = _network(l_grid[:, None], c_grid[None, :], r_loss, z_source, b, float(omega))
+    s11_abs = np.abs((z - z_source) / (z + z_source))
+    i, j = np.unravel_index(int(np.argmin(s11_abs)), s11_abs.shape)
+    l_mesh, c_mesh = np.meshgrid(l_grid, c_grid, indexing="ij")
+    f = 1.0 / (2.0 * np.pi * np.sqrt(l_grid[i] * (c_grid[j] + b.c_res)))
+    return MatchDesign(l_mesh, c_mesh, s11_abs, eta, (int(i), int(j)), float(f))
 
 
 def _bcs_gap(t, t_c: float):
@@ -218,7 +292,7 @@ def _bcs_gap(t, t_c: float):
 def kinetic_inductance_at(k: KineticInductanceModel, t):
     """Total film inductance l_geometric + L_k(T) at temperature t (K)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t >= k.t_c):
+    if not np.all((t >= 0) & (t < k.t_c)):
         raise ParameterError(
             f"temperature must satisfy 0 <= T < T_c = {k.t_c} K (film is normal above T_c)"
         )

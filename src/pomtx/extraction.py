@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .em_circuit import KineticInductanceModel, kinetic_inductance_at
 from .errors import (
@@ -88,6 +87,8 @@ def _solve(residual_fn, p0, names, is_log, weights=None, max_nfev=20000):
     log(p).  Parameter errors come from the pseudo-inverse of J^T J scaled by
     the residual variance, mapped back through the log transform.
     """
+    from scipy.optimize import least_squares  # deferred: the package's slowest import
+
     p0 = np.asarray(p0, dtype=float)
     is_log = np.asarray(is_log, dtype=bool)
     q0 = p0.copy()

@@ -16,12 +16,14 @@ absorb the convention, so fits and forward model are self-consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
 from .errors import InconsistentAsymmetryError, ParameterError
+
+hbar = 6.62607015e-34 / (2 * math.pi)  # J s; h is exact in SI-2019
 
 __all__ = [
     "OpticalCavity",

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.optimize import brentq, least_squares
 
 from .errors import CalibrationError, ParameterError, TableRangeError
 from .optomech import (
@@ -387,7 +386,8 @@ def conversion_spectrum(
         counts = _single_shot(t_read, 2 * np.pi * offsets, gamma, om, tp)
     else:
         counts = np.empty_like(offsets)
-        chunk = max(1, _CHUNK_ELEMENTS // x.size)
+        # _single_shot holds up to four offsets x draws temporaries at once
+        chunk = max(1, _CHUNK_ELEMENTS // (4 * x.size))
         for lo in range(0, offsets.size, chunk):
             d = 2 * np.pi * (offsets[lo : lo + chunk, None] - x[None, :])
             shots = _single_shot(t_read, d, gamma, om, tp)
@@ -409,6 +409,8 @@ def calibrate_jitter(
     spectrum on the given schedule (the same estimator applied to the
     measured line), evaluated on a fixed +-span_hz grid.  Deterministic.
     """
+    from scipy.optimize import brentq
+
     from .extraction import lorentzian_fit
 
     if target_fwhm_hz <= 0:
@@ -442,6 +444,8 @@ def anchor_loading_window(
     so a target reduction maps to a unique window; the result is stored on
     the model as loading_window_s.
     """
+    from scipy.optimize import brentq
+
     if j.is_quiet:
         raise CalibrationError("a quiet jitter model has no loading penalty to anchor")
     if not j.is_calibrated:
@@ -549,6 +553,8 @@ def fit_rise_time(t, population) -> float:
     This is the amplitude-buildup form a coherently driven mode follows for
     sigma = 0, where it recovers tau = 2/gamma exactly.
     """
+    from scipy.optimize import least_squares
+
     t, y = _fit_points(t, population, "rise-time fit")
 
     def resid(p):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,12 +164,15 @@ class TestInvalidPulsedInputs:
         ["pulse-trace", "--pulse-us", "0"],
         ["spectrum", "--pulse-us", "0"],
         ["pulse-trace", "--n-mc", "1"],
+        ["spectrum", "--span", "2.7989e9:2.7991e9:5", "--method", "quadrature"],
     ])
-    def test_invalid_sizes_exit_3(self, argv, capsys):
+    def test_invalid_sizes_exit_3(self, argv, capsys, tmp_path):
         assert main(argv + ["--out", "bad.json", "--csv", "bad.csv"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("pomtx: validation error:")
         assert "Traceback" not in err
+        # several cases fail only after the trace or spectrum is computed
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["pulse-trace", "spectrum"])
     def test_mode_without_lifetime_exits_3(self, command, capsys):
@@ -257,6 +264,44 @@ class TestMiscCommands:
         # the optimum resonates near the mechanical mode
         assert best["match_freq_hz"] == pytest.approx(2.799e9, abs=60e6)
 
+    def test_match_design_reports_grid_edge(self, tmp_path, capsys):
+        argv = ["match-design", "--out", "md.json", "--csv", "md.csv"]
+        assert main(argv) == 0
+        best = read_report(tmp_path / "md.json")["results"]["best"]
+        assert best["l_match_h"] == 300e-9 and best["on_grid_edge"] is True
+        assert "grid edge" in capsys.readouterr().out
+        rows = np.loadtxt(tmp_path / "md.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (81 * 81, 4)
+        # L outer, C inner
+        assert np.all(np.diff(rows[:, 0]) >= 0) and rows[1, 1] > rows[0, 1]
+
+        argv = ["match-design", "--l-span", "150e-9:250e-9:11",
+                "--c-span", "10e-15:25e-15:11", "--out", "in.json", "--csv", "in.csv"]
+        assert main(argv) == 0
+        assert read_report(tmp_path / "in.json")["results"]["best"]["on_grid_edge"] is False
+        assert "grid edge" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("span", [
+        "--l-span=0:1e-7:3", "--c-span=-1e-15:3e-14:5", "--l-span=nan:1e-7:3",
+    ])
+    def test_match_design_invalid_grid_exits_3(self, span, tmp_path, capsys):
+        assert main(["match-design", span, "--out", "md.json", "--csv", "md.csv"]) == 3
+        err = capsys.readouterr().err
+        assert "must be finite and > 0" in err and "Traceback" not in err
+        assert not (tmp_path / "md.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--temperature-k", "nan"],
+        ["s21", "--nc", "100", "--temperature-k", "nan"],
+    ])
+    def test_nan_temperature_exits_3_naming_temperature(self, argv, capsys):
+        assert main(argv + ["--out", "t.json", "--csv", "t.csv"]) == 3
+        assert "temperature must satisfy" in capsys.readouterr().err
+
+    def test_s21_writes_no_spectrum_when_a_later_photon_number_fails(self, tmp_path):
+        assert main(["s21", "--nc", "100,-5", "--out", "s.json", "--csv", "s.csv"]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 
@@ -271,3 +316,18 @@ class TestMiscCommands:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "pomtx" in capsys.readouterr().out
+
+
+def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path):
+    """import pomtx, pomtx.cli and a budget run leave scipy.optimize/constants unloaded."""
+    probe = (
+        "import sys, pomtx, pomtx.cli\n"
+        "assert pomtx.cli.main(['budget', '--out', 'b.json']) == 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.constants') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pomtx import em_circuit, optomech
 from pomtx.em_circuit import (
     BvdParams,
     KineticInductanceModel,
+    MatchDesign,
     MatchingParams,
     bvd_motional_branch,
     electrical_s11,
@@ -13,6 +15,7 @@ from pomtx.em_circuit import (
     input_impedance,
     keff_from_admittance,
     kinetic_inductance_at,
+    match_design,
     matched_load,
     resonance_vs_temperature,
 )
@@ -253,6 +256,11 @@ class TestKineticInductance:
         with pytest.raises(ParameterError):
             kinetic_inductance_at(self.MODEL, -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, [0.02, np.nan], np.inf])
+    def test_non_finite_temperature_rejected(self, t):
+        with pytest.raises(ParameterError, match="temperature must satisfy"):
+            kinetic_inductance_at(self.MODEL, t)
+
     def test_resonance_red_shift_calibration(self):
         # the shipped film model produces a ~60 MHz base-to-4K red shift
         curve = resonance_vs_temperature(self.MODEL, 17.33e-15, [0.02, 4.0])
@@ -284,3 +292,105 @@ class TestKeffFromAdmittance:
     def test_ordering_error(self):
         with pytest.raises(ParameterError):
             keff_from_admittance(5.0, 3.0)
+
+
+def test_si_constants_equal_scipy_bit_for_bit():
+    scipy_constants = pytest.importorskip("scipy.constants")
+    assert em_circuit.K_BOLTZMANN == scipy_constants.k
+    assert optomech.hbar == scipy_constants.hbar
+
+
+class TestMatchDesign:
+    """The grid evaluation against the validating scalar functions."""
+
+    W = TWO_PI * 2.799e9
+    L_GRID = np.linspace(100e-9, 300e-9, 81)
+    C_GRID = np.linspace(5e-15, 30e-15, 81)
+
+    @staticmethod
+    def scalar_loop(b, omega, l_grid, c_grid, r_loss, z_source):
+        """Reference: one MatchingParams and two network evaluations per point."""
+        s11 = np.empty((l_grid.size, c_grid.size))
+        eta = np.empty_like(s11)
+        best = None
+        for i, l_h in enumerate(l_grid):
+            for j, c_f in enumerate(c_grid):
+                m = MatchingParams(l_match=l_h, c_match=c_f, r_loss=r_loss, z_source=z_source)
+                s11[i, j] = abs(electrical_s11(m, b, omega))
+                eta[i, j] = electromechanical_efficiency(m, b, omega)
+                if best is None or s11[i, j] < s11[best]:
+                    best = (i, j)
+        return s11, eta, best
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        l_lo=st.floats(1e-9, 1e-6), l_ratio=st.floats(1.01, 10.0), n_l=st.integers(1, 6),
+        c_lo=st.floats(1e-16, 1e-13), c_ratio=st.floats(1.01, 10.0), n_c=st.integers(1, 6),
+        r_loss=st.floats(0.0, 10.0), q=st.floats(1e3, 1e6),
+    )
+    def test_meshes_match_scalar_functions(self, l_lo, l_ratio, n_l, c_lo, c_ratio, n_c,
+                                           r_loss, q):
+        b = paper_bvd(omega_m=self.W, q=q)
+        l_grid = np.linspace(l_lo, l_lo * l_ratio, n_l)
+        c_grid = np.linspace(c_lo, c_lo * c_ratio, n_c)
+        d = match_design(b, self.W, l_grid, c_grid, r_loss=r_loss, z_source=50.0)
+        s11, eta, _ = self.scalar_loop(b, self.W, l_grid, c_grid, r_loss, 50.0)
+        assert d.l_mesh.shape == d.c_mesh.shape == d.s11_abs.shape == (n_l, n_c)
+        np.testing.assert_array_equal(d.l_mesh[:, 0], l_grid)
+        np.testing.assert_array_equal(d.c_mesh[0], c_grid)
+        np.testing.assert_allclose(d.s11_abs, s11, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(d.eta_em, eta, rtol=1e-14, atol=0)
+
+    def test_default_grid_best_is_the_scalar_loops_and_on_the_edge(self, device):
+        b = device.bvd_for()
+        r_loss, z_source = device.matching.r_loss, device.matching.z_source
+        d = match_design(b, b.omega_m, self.L_GRID, self.C_GRID, r_loss, z_source)
+        _, _, best = self.scalar_loop(b, b.omega_m, self.L_GRID, self.C_GRID, r_loss, z_source)
+        assert d.best_index == best
+        point = d.best()
+        assert point["l_match_h"] == 300e-9  # the upper L bound
+        assert point["s11_abs"] == pytest.approx(0.7165, abs=1e-4)
+        assert point["on_grid_edge"] is True
+        assert point["match_freq_hz"] == pytest.approx(
+            1.0 / (TWO_PI * np.sqrt(point["l_match_h"] * (point["c_match_f"] + b.c_res))),
+            rel=1e-15,
+        )
+
+    def test_interior_best_is_not_on_the_edge(self, device):
+        b = device.bvd_for()
+        d = match_design(b, b.omega_m, np.linspace(150e-9, 250e-9, 11),
+                         np.linspace(10e-15, 25e-15, 11),
+                         device.matching.r_loss, device.matching.z_source)
+        i, j = d.best_index
+        assert 0 < i < 10 and 0 < j < 10
+        assert d.on_grid_edge is False
+
+    @pytest.mark.parametrize("index, edge", [
+        ((0, 2), True), ((4, 2), True), ((2, 0), True), ((2, 5), True),
+        ((0, 0), True), ((2, 3), False), ((1, 1), False), ((3, 4), False),
+    ])
+    def test_on_grid_edge_is_any_first_or_last_row_or_column(self, index, edge):
+        s11 = np.ones((5, 6))
+        s11[index] = 0.5
+        l_mesh, c_mesh = np.meshgrid(np.arange(1.0, 6.0), np.arange(1.0, 7.0), indexing="ij")
+        d = MatchDesign(l_mesh, c_mesh, s11, s11, index, 1.0)
+        assert d.on_grid_edge is edge
+
+    @pytest.mark.parametrize("l_grid, c_grid, message", [
+        ([0.0, 1e-7], [1e-14], "l_match must be finite and > 0, got 0.0"),
+        ([1e-7, np.nan], [1e-14], "l_match must be finite and > 0, got nan"),
+        ([1e-7], [-1e-15, 3e-14], "c_match must be finite and > 0, got -1e-15"),
+        ([1e-7], [1e-14, np.inf], "c_match must be finite and > 0, got inf"),
+        ([], [1e-14], "l_match grid must be a non-empty 1-D array"),
+    ])
+    def test_invalid_grids_rejected(self, l_grid, c_grid, message):
+        with pytest.raises(ParameterError, match=message):
+            match_design(bvd_67k(), self.W, l_grid, c_grid)
+
+    def test_invalid_network_parameters_rejected(self):
+        with pytest.raises(ParameterError, match="r_loss"):
+            match_design(bvd_67k(), self.W, [1e-7], [1e-14], r_loss=-1.0)
+        with pytest.raises(ParameterError, match="z_source"):
+            match_design(bvd_67k(), self.W, [1e-7], [1e-14], z_source=0.0)
+        with pytest.raises(ParameterError, match="omega"):
+            match_design(bvd_67k(), np.nan, [1e-7], [1e-14])
