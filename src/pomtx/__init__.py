@@ -51,6 +51,7 @@ from .optomech import (
     intracavity_photons,
     mechanics_to_optics_efficiency,
     optomechanical_damping,
+    red_sideband_response,
     single_photon_cooperativity,
     stokes_leakage,
     swap_probability,

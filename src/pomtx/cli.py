@@ -35,10 +35,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def _span(text: str) -> np.ndarray:
-    """Parse lo:hi:n into a linspace grid."""
+    """Parse lo:hi:n into a linspace grid (an infinite bound gives NaN points)."""
     try:
         lo, hi, n = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(n))
+        with np.errstate(invalid="ignore"):
+            grid = np.linspace(float(lo), float(hi), int(n))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {text!r}") from None
     if grid.size < 2:
@@ -68,15 +69,14 @@ def _report_paths(args, command: str) -> tuple[str, str]:
     return out, csv
 
 
-def _start_report(args, command: str, prov=None) -> dict:
-    inputs = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
-    inputs = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in inputs.items()}
-    return base_report(command, inputs, getattr(args, "seed", None), prov)
+def _device(args, rep):
+    """Load --config and record its provenance in the report."""
+    device, rep["provenance"] = load_config(args.config)
+    return device
 
 
-def cmd_budget(args) -> int:
-    device, prov = load_config(args.config)
-    rep = _start_report(args, "budget", prov)
+def cmd_budget(args, rep, csv):
+    device = _device(args, rep)
     mode_name = args.mode or device.default_mode
     op = pulsed.OperatingPoint(
         mode=mode_name,
@@ -90,10 +90,7 @@ def cmd_budget(args) -> int:
         "temperature_k": op.temperature_k,
         "optical_energy_at_device_j": op.optical_pulse.energy_at_device_j,
     }
-    out, _ = _report_paths(args, "budget")
-    write_report(out, rep)
-    print(f"total conversion efficiency: {budget.total:.3e}  (report: {out})")
-    return 0
+    return [], f"total conversion efficiency: {budget.total:.3e}"
 
 
 def _s21_amplitude(device, freqs_hz, n_c, temperature_k):
@@ -110,11 +107,7 @@ def _s21_amplitude(device, freqs_hz, n_c, temperature_k):
         bvd = device.bvd_for(name)
         eta_em = np.asarray(em_circuit.electromechanical_efficiency(matching, bvd,
                                                                     TWO_PI * freqs_hz))
-        gamma = optomech.optomechanical_damping(
-            device.optical, mode, n_c, -mode.omega_m
-        )
-        c_om = optomech.cooperativity(device.optical, mode, n_c)
-        shape = 4.0 * optomech.continuous_efficiency_shape(c_om) * device.optical.eta_o
+        gamma, c_om, shape = optomech.red_sideband_response(device.optical, mode, n_c)
         lor = (gamma / 2) ** 2 / ((TWO_PI * freqs_hz - mode.omega_m) ** 2 + (gamma / 2) ** 2)
         total += eta_em * shape * lor
         details[name] = {
@@ -125,35 +118,23 @@ def _s21_amplitude(device, freqs_hz, n_c, temperature_k):
     return np.sqrt(total), details
 
 
-def cmd_s21(args) -> int:
-    device, prov = load_config(args.config)
-    rep = _start_report(args, "s21", prov)
-    out, csv = _report_paths(args, "s21")
-    amps, per_nc = [], {}
+def cmd_s21(args, rep, csv):
+    device = _device(args, rep)
+    tables, per_nc = [], {}
     for n_c in args.nc:
         amp, per_nc[f"{n_c:g}"] = _s21_amplitude(device, args.span, n_c, args.temperature_k)
-        amps.append(amp)
-    files = [csv.replace(".csv", f"_nc{n_c:g}.csv") for n_c in args.nc]
-    for path, amp in zip(files, amps):
-        write_table(path, ["freq_hz", "amplitude"], [args.span, amp])
+        tables.append((csv.replace(".csv", f"_nc{n_c:g}.csv"), ["freq_hz", "amplitude"],
+                       [args.span, amp]))
+    files = [path for path, _, _ in tables]
     rep["results"] = {"files": files, "modes": per_nc}
-    write_report(out, rep)
-    print(f"wrote {', '.join(files)}  (report: {out})")
-    return 0
+    return tables, f"wrote {', '.join(files)}"
 
 
-def cmd_sweep_power(args) -> int:
-    device, prov = load_config(args.config)
-    rep = _start_report(args, "sweep-power", prov)
+def cmd_sweep_power(args, rep, csv):
+    device = _device(args, rep)
     mode = device.mode(args.mode)
     n_c = args.nc_span
-    gamma = np.asarray(
-        optomech.optomechanical_damping(device.optical, mode, n_c, -mode.omega_m)
-    )
-    c_om = np.asarray(optomech.cooperativity(device.optical, mode, n_c))
-    rel_out = 4.0 * np.asarray(optomech.continuous_efficiency_shape(c_om)) * device.optical.eta_o
-    out, csv = _report_paths(args, "sweep-power")
-    write_table(csv, ["n_c", "fwhm_hz", "rel_output"], [n_c, gamma / TWO_PI, rel_out])
+    gamma, c_om, rel_out = optomech.red_sideband_response(device.optical, mode, n_c)
     i_pk = int(np.argmax(rel_out))
     rep["results"] = {
         "file": csv,
@@ -162,20 +143,18 @@ def cmd_sweep_power(args) -> int:
         "peak_n_c": n_c[i_pk],
         "peak_cooperativity": c_om[i_pk],
     }
-    write_report(out, rep)
-    print(f"wrote {csv}  (report: {out})")
-    return 0
+    table = (csv, ["n_c", "fwhm_hz", "rel_output"], [n_c, gamma / TWO_PI, rel_out])
+    return [table], f"wrote {csv}"
 
 
-def _pulsed_setup(args, command: str, default_pulse_s: str):
-    """Report, mode, jitter model and pulse schedule of a pulsed command.
+def _pulsed_setup(args, rep, default_pulse_s: str):
+    """Mode, jitter model and pulse schedule of a pulsed command.
 
     The jitter model takes the selected mode's own lifetime.  --pulse-us,
     whenever given, replaces the config's pulse.<default_pulse_s>, so a zero
     or negative length fails PulseSchedule validation.
     """
-    device, prov = load_config(args.config)
-    rep = _start_report(args, command, prov)
+    device = _device(args, rep)
     name = args.mode or device.default_mode
     mode = device.mode(args.mode)
     if mode.tau_energy is None:
@@ -193,11 +172,11 @@ def _pulsed_setup(args, command: str, default_pulse_s: str):
     pulse_s = getattr(device.pulse, default_pulse_s) if args.pulse_us is None \
         else args.pulse_us * 1e-6
     sched = pulsed.PulseSchedule(mw_freq_hz=mode.omega_m / TWO_PI, mw_duration_s=pulse_s)
-    return rep, mode, jm, sched
+    return mode, jm, sched
 
 
-def cmd_pulse_trace(args) -> int:
-    rep, mode, jm, sched = _pulsed_setup(args, "pulse-trace", "trace_duration_s")
+def cmd_pulse_trace(args, rep, csv):
+    mode, jm, sched = _pulsed_setup(args, rep, "trace_duration_s")
     pulse_s = sched.mw_duration_s
     if args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
@@ -206,7 +185,6 @@ def cmd_pulse_trace(args) -> int:
         sched, jm, t_grid, detuning_hz=args.detuning_hz,
         n_mc=args.n_mc, seed=args.seed, method=args.method,
     )
-    out, csv = _report_paths(args, "pulse-trace")
     rising = t_grid <= pulse_s
     decaying = t_grid >= pulse_s
     results = {
@@ -229,36 +207,27 @@ def cmd_pulse_trace(args) -> int:
         results["penalty_mc_error"] = anchored.mc_error
         results["anchor_window_s"] = jm.loading_window_s
     rep["results"] = results
-    write_table(csv, ["time_s", "population"], [trace.t_s, trace.population])
-    write_report(out, rep)
-    print(f"wrote {csv}  (report: {out})")
-    return 0
+    return [(csv, ["time_s", "population"], [trace.t_s, trace.population])], f"wrote {csv}"
 
 
-def cmd_spectrum(args) -> int:
-    rep, _, jm, sched = _pulsed_setup(args, "spectrum", "mw_duration_s")
+def cmd_spectrum(args, rep, csv):
+    _, jm, sched = _pulsed_setup(args, rep, "mw_duration_s")
     f_m = sched.mw_freq_hz
     grid = args.span if args.span is not None else np.linspace(f_m - 250e3, f_m + 250e3, 201)
     spec = pulsed.conversion_spectrum(
         sched, jm, grid, f_m, n_mc=args.n_mc, seed=args.seed, method=args.method
     )
-    out, csv = _report_paths(args, "spectrum")
     fit = extraction.lorentzian_fit(spec[:, 0], spec[:, 1])
     rep["results"] = {
         "file": csv,
         "sigma_hz": jm.sigma_hz,
         "lorentzian_fit": fit.as_dict(),
     }
-    write_table(csv, ["freq_hz", "counts_rel"], [spec[:, 0], spec[:, 1]])
-    write_report(out, rep)
-    print(f"fitted FWHM: {fit.params['fwhm']/1e3:.1f} kHz  (report: {out})")
-    return 0
+    table = (csv, ["freq_hz", "counts_rel"], [spec[:, 0], spec[:, 1]])
+    return [table], f"fitted FWHM: {fit.params['fwhm']/1e3:.1f} kHz"
 
 
-def cmd_fit(args) -> int:
-    rep = _start_report(args, f"fit {args.model}")
-    out, _ = _report_paths(args, f"fit_{args.model}")
-
+def cmd_fit(args, rep, csv):
     if args.model in ("lorentzian", "sqrt-lorentzian"):
         spec = load_spectrum(args.infile)
         fn = extraction.lorentzian_fit if args.model == "lorentzian" \
@@ -270,8 +239,7 @@ def cmd_fit(args) -> int:
             raise ParameterError("fit s11-optical requires --carrier-detuning-hz")
         fit = extraction.optical_s11_fit(spec.freq_hz, spec.magnitude, args.carrier_detuning_hz)
     elif args.model == "damping":
-        device, prov = load_config(args.config)
-        rep["provenance"] = prov
+        device = _device(args, rep)
         mode = device.mode(args.mode)
         rows = read_table(args.infile, ("n_c", "gamma_hz"))
         delta = TWO_PI * args.delta_hz if args.delta_hz is not None else -mode.omega_m
@@ -281,35 +249,23 @@ def cmd_fit(args) -> int:
         )
         fit.meta["g0_hz"] = fit.params["g0"] / TWO_PI
         fit.meta["gamma_m0_hz"] = fit.params["gamma_m0"] / TWO_PI
-    elif args.model == "bcs":
+    else:  # bcs; argparse restricts the choices
         rows = read_table(args.infile, ("temperature_k", "freq_hz"))
         c_eff = args.c_match_f
         if c_eff is None:
-            device, prov = load_config(args.config)
-            rep["provenance"] = prov
+            device = _device(args, rep)
             c_eff = device.matching.c_match + device.c_res
         fit = extraction.bcs_resonance_fit(rows, c_match=c_eff)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown fit model {args.model!r}")
 
     rep["results"] = fit.as_dict()
-    write_report(out, rep)
     summary = ", ".join(f"{k}={v:.6g}" for k, v in fit.params.items())
-    print(f"{args.model}: {summary}  (report: {out})")
-    return 0
+    return [], f"{args.model}: {summary}"
 
 
-def cmd_piezo_tensor(args) -> int:
-    rep = _start_report(args, "piezo-tensor")
+def cmd_piezo_tensor(args, rep, csv):
     phi = np.deg2rad(args.phi_deg)
     tensor = piezo.rotated_piezo_tensor(phi, args.e14, unit=args.unit)
     coupling = piezo.out_of_plane_coupling(phi, args.e14, unit=args.unit)
-    out, csv = _report_paths(args, "piezo-tensor")
-    write_table(
-        csv,
-        ["row"] + [f"col{j}" for j in range(1, 7)],
-        [np.arange(1, 4)] + [tensor.entries[:, j] for j in range(6)],
-    )
     rep["results"] = {
         "phi_rad": phi,
         "e14_si": tensor.e14,
@@ -318,14 +274,13 @@ def cmd_piezo_tensor(args) -> int:
         "frobenius_norm": tensor.frobenius_norm(),
         "file": csv,
     }
-    write_report(out, rep)
-    print(f"e31={coupling['e31']:.4g} C/m^2, e32={coupling['e32']:.4g} C/m^2  (report: {out})")
-    return 0
+    table = (csv, ["row"] + [f"col{j}" for j in range(1, 7)],
+             [np.arange(1, 4)] + [tensor.entries[:, j] for j in range(6)])
+    return [table], f"e31={coupling['e31']:.4g} C/m^2, e32={coupling['e32']:.4g} C/m^2"
 
 
-def cmd_match_design(args) -> int:
-    device, prov = load_config(args.config)
-    rep = _start_report(args, "match-design", prov)
+def cmd_match_design(args, rep, csv):
+    device = _device(args, rep)
     omega = device.mode(args.mode).omega_m
     design = em_circuit.match_design(
         device.bvd_for(args.mode), omega,
@@ -333,18 +288,34 @@ def cmd_match_design(args) -> int:
         args.c_span if args.c_span is not None else np.linspace(5e-15, 30e-15, 81),
         r_loss=device.matching.r_loss, z_source=device.matching.z_source,
     )
-    out, csv = _report_paths(args, "match-design")
-    write_table(csv, ["l_match_h", "c_match_f", "s11_abs", "eta_em"],
-                [design.l_mesh.ravel(), design.c_mesh.ravel(),
-                 design.s11_abs.ravel(), design.eta_em.ravel()])
     best = design.best()
     rep["results"] = {"best": best, "file": csv, "target_freq_hz": omega / TWO_PI}
-    write_report(out, rep)
+    table = (csv, ["l_match_h", "c_match_f", "s11_abs", "eta_em"],
+             [design.l_mesh.ravel(), design.c_mesh.ravel(),
+              design.s11_abs.ravel(), design.eta_em.ravel()])
     edge = "; on the grid edge, widen --l-span/--c-span" if best["on_grid_edge"] else ""
-    print(
+    return [table], (
         f"best |S11|={best['s11_abs']:.4f} at L={best['l_match_h']*1e9:.1f} nH, "
-        f"C={best['c_match_f']*1e15:.2f} fF{edge}  (report: {out})"
+        f"C={best['c_match_f']*1e15:.2f} fF{edge}"
     )
+
+
+def _run(args) -> int:
+    """Run one subcommand, then write its CSVs, its report and one stdout line.
+
+    A command fills rep["results"] and returns (tables, message); nothing is
+    written until it has returned, so a failed run leaves no file behind.
+    """
+    command = f"fit {args.model}" if args.command == "fit" else args.command
+    inputs = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+              for k, v in vars(args).items() if not callable(v)}
+    rep = base_report(command, inputs, args.seed)
+    out, csv = _report_paths(args, command)
+    tables, message = args.func(args, rep, csv)
+    for path, header, columns in tables:
+        write_table(path, header, columns)
+    write_report(out, rep)
+    print(f"{message}  (report: {out})")
     return 0
 
 
@@ -431,7 +402,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     try:
-        return args.func(args)
+        return _run(args)
     except (ValidationError, ParameterError, SpectrumFormatError,
             TableRangeError, CalibrationError) as e:
         print(f"pomtx: validation error: {e}", file=sys.stderr)

@@ -154,8 +154,8 @@ def bvd_motional_branch(p: BvdParams) -> MotionalBranch:
 
 def _check_omega(omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ParameterError("omega must be > 0 (the network is a capacitive open at DC)")
+    if not np.all(np.isfinite(omega) & (omega > 0)):
+        raise ParameterError("omega must be finite and > 0 (the network is a capacitive open at DC)")
     return omega
 
 

@@ -24,7 +24,7 @@ from .errors import (
     RankDeficiencyError,
     SignConventionError,
 )
-from .optomech import OpticalCavity
+from .optomech import OpticalCavity, _sideband_lorentzians, _three_tone
 
 __all__ = [
     "FitResult",
@@ -159,16 +159,15 @@ def _check_peak_data(x, y, min_points=8):
         raise ParameterError("frequency and value arrays must have equal length")
     if x.size < min_points:
         raise ParameterError(f"need at least {min_points} points, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ParameterError("frequency and value arrays must be finite")
     if np.ptp(y) == 0:
         raise RankDeficiencyError("data is flat; peak parameters are unidentifiable")
     return x, y
 
 
-def lorentzian_fit(freq, values, sigma=None) -> FitResult:
-    """Fit offset + A * (G/2)^2 / ((f-f0)^2 + (G/2)^2).
-
-    Returns params center, fwhm, amplitude, offset.
-    """
+def _peak_fit(freq, values, sigma, profile) -> FitResult:
+    """Fit offset + profile(A, (G/2)^2, (f-f0)^2 + (G/2)^2) to a single peak."""
     x, y = _check_peak_data(freq, values)
     off0 = float(np.median(y))
     i0 = int(np.argmax(y))
@@ -176,7 +175,8 @@ def lorentzian_fit(freq, values, sigma=None) -> FitResult:
 
     def resid(p):
         f0, g, a, off = p
-        return off + a * (g / 2.0) ** 2 / ((x - f0) ** 2 + (g / 2.0) ** 2) - y
+        h2 = (g / 2.0) ** 2
+        return off + profile(a, h2, (x - f0) ** 2 + h2) - y
 
     weights = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
     res, params, sigmas = _solve(
@@ -184,6 +184,14 @@ def lorentzian_fit(freq, values, sigma=None) -> FitResult:
         [False, True, False, False], weights,
     )
     return _finish(res, params, sigmas, float(np.linalg.norm(y)))
+
+
+def lorentzian_fit(freq, values, sigma=None) -> FitResult:
+    """Fit offset + A * (G/2)^2 / ((f-f0)^2 + (G/2)^2).
+
+    Returns params center, fwhm, amplitude, offset.
+    """
+    return _peak_fit(freq, values, sigma, lambda a, h2, den: a * h2 / den)
 
 
 def sqrt_lorentzian_fit(freq, values, sigma=None) -> FitResult:
@@ -192,36 +200,7 @@ def sqrt_lorentzian_fit(freq, values, sigma=None) -> FitResult:
     The square-root profile is the amplitude (not power) response of a
     Lorentzian transducer line; params as in lorentzian_fit.
     """
-    x, y = _check_peak_data(freq, values)
-    off0 = float(np.median(y))
-    i0 = int(np.argmax(y))
-    p0 = [x[i0], _halfmax_width(x, y, off0), y[i0] - off0, off0]
-
-    def resid(p):
-        f0, g, a, off = p
-        return off + a * np.sqrt((g / 2.0) ** 2 / ((x - f0) ** 2 + (g / 2.0) ** 2)) - y
-
-    weights = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
-    res, params, sigmas = _solve(
-        resid, p0, ["center", "fwhm", "amplitude", "offset"],
-        [False, True, False, False], weights,
-    )
-    return _finish(res, params, sigmas, float(np.linalg.norm(y)))
-
-
-def _three_tone_magnitude(mod_hz, kappa_i_hz, kappa_e_hz, delta0_hz):
-    """Unvalidated three-tone |S11| for the optimiser (rates may wander)."""
-    ki = max(float(kappa_i_hz), 1e-9)
-    ke = max(float(kappa_e_hz), 1e-9)
-    kappa = 2 * np.pi * (ki + ke)
-    kap_e = 2 * np.pi * ke
-
-    def r(delta):
-        return 1.0 - kap_e / (kappa / 2.0 - 2j * delta)
-
-    d0 = 2 * np.pi * delta0_hz
-    om = 2 * np.pi * np.asarray(mod_hz, dtype=float)
-    return np.abs((np.conj(r(d0)) * r(d0 + om) + r(d0) * np.conj(r(d0 - om))) / 2.0)
+    return _peak_fit(freq, values, sigma, lambda a, h2, den: a * np.sqrt(h2 / den))
 
 
 def optical_s11_fit(mod_freq_hz, magnitude, carrier_detuning_guess_hz) -> FitResult:
@@ -232,19 +211,22 @@ def optical_s11_fit(mod_freq_hz, magnitude, carrier_detuning_guess_hz) -> FitRes
     residual wins and meta["undercoupled"] flags the branch.
     """
     x, y = _check_peak_data(mod_freq_hz, magnitude)
+    d0 = float(carrier_detuning_guess_hz)
+    if not np.isfinite(d0):
+        raise ParameterError(f"carrier detuning guess must be finite, got {d0!r}")
     # the dip marks where the lower sideband crosses the cavity
-    i_dip = int(np.argmin(y))
-    depth = float(y[i_dip])
+    depth = float(y.min())
     dip_width = _halfmax_width(x, -y, -float(np.median(y)))
     # under the r-convention used here the |S11| dip FWHM is ~kappa/2 (in Hz)
     kappa0 = max(2.0 * dip_width, (x[-1] - x[0]) / 20.0)
-    d0 = float(carrier_detuning_guess_hz)
+    om = 2 * np.pi * x
 
-    def resid_factory():
-        def resid(p):
-            ki, ke, dd = p
-            return _three_tone_magnitude(x, ki, ke, dd) - y
-        return resid
+    def resid(p):
+        # exp of a log-parameterised rate can underflow to 0; keep it positive
+        ki = max(float(p[0]), 1e-9)
+        ke = max(float(p[1]), 1e-9)
+        s = _three_tone(2 * np.pi * (ki + ke), 2 * np.pi * ke, 2 * np.pi * p[2], om)
+        return np.abs(s) - y
 
     best = None
     for eta0 in ((1.0 + depth) / 2.0, max((1.0 - depth) / 2.0, 0.05)):
@@ -252,8 +234,7 @@ def optical_s11_fit(mod_freq_hz, magnitude, carrier_detuning_guess_hz) -> FitRes
         p0 = [kappa0 * (1 - eta0), kappa0 * eta0, d0]
         try:
             res, params, sigmas = _solve(
-                resid_factory(), p0, ["kappa_i_hz", "kappa_e_hz", "delta0_hz"],
-                [True, True, False],
+                resid, p0, ["kappa_i_hz", "kappa_e_hz", "delta0_hz"], [True, True, False],
             )
         except FitConvergenceError:
             continue
@@ -279,6 +260,8 @@ def g0_from_damping(points, cavity: OpticalCavity, delta: float, omega_m: float,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError("points must be (n_c, gamma) pairs")
+    if not np.isfinite(delta):
+        raise ParameterError(f"pump detuning must be finite, got {delta!r}")
     n_c, gam = pts[:, 0], pts[:, 1]
     if np.unique(n_c).size < 2:
         raise RankDeficiencyError("all photon numbers identical; slope is unidentifiable")
@@ -298,8 +281,7 @@ def g0_from_damping(points, cavity: OpticalCavity, delta: float, omega_m: float,
     cov = np.linalg.inv(a.T @ a) * s_sq
     sig_slope, sig_intercept = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    lp = cavity.kappa / (cavity.kappa**2 / 4.0 + (delta + omega_m) ** 2)
-    lm = cavity.kappa / (cavity.kappa**2 / 4.0 + (delta - omega_m) ** 2)
+    lp, lm = _sideband_lorentzians(cavity, omega_m, delta)
     contrast = lp - lm
     if slope * contrast <= 0:
         raise SignConventionError(
@@ -328,6 +310,8 @@ def bcs_resonance_fit(points, c_match: float = 19e-15) -> FitResult:
     parameterised as max(T) + exp(u) so the fitted film is superconducting
     over the whole data span.
     """
+    if not (np.isfinite(c_match) and c_match > 0):
+        raise ParameterError(f"c_match must be finite and > 0, got {c_match!r}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError("points must be (kelvin, hertz) pairs")

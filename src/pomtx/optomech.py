@@ -36,6 +36,7 @@ __all__ = [
     "cooperativity",
     "single_photon_cooperativity",
     "continuous_efficiency_shape",
+    "red_sideband_response",
     "swap_probability",
     "mechanics_to_optics_efficiency",
     "stokes_leakage",
@@ -160,10 +161,22 @@ class DriveTone:
         return self.energy_at_device_j / (hbar * self.omega_l)
 
 
+def _reflection(kappa, kappa_e, delta):
+    """Unvalidated r(Delta) on raw rates; broadcasts over delta."""
+    return 1.0 - kappa_e / (kappa / 2.0 - 2j * delta)
+
+
+def _three_tone(kappa, kappa_e, d0, om):
+    """Unvalidated three-tone S11 at carrier detuning d0 and modulation om."""
+    r0 = _reflection(kappa, kappa_e, d0)
+    rp = _reflection(kappa, kappa_e, d0 + om)
+    rm = _reflection(kappa, kappa_e, d0 - om)
+    return (np.conj(r0) * rp + r0 * np.conj(rm)) / 2.0
+
+
 def cavity_reflection(c: OpticalCavity, delta):
     """Single-tone reflection r(Delta) = 1 - kappa_e/(kappa/2 - 2i Delta)."""
-    delta = np.asarray(delta, dtype=float)
-    r = 1.0 - c.kappa_e / (c.kappa / 2.0 - 2j * delta)
+    r = _reflection(c.kappa, c.kappa_e, np.asarray(delta, dtype=float))
     return r if r.ndim else complex(r)
 
 
@@ -180,11 +193,8 @@ def three_tone_s11(c: OpticalCavity, carrier_detuning: float, mod_freq):
     For an overcoupled cavity |S11| dips below 0.5 when a sideband crosses
     the resonance.
     """
-    r0 = cavity_reflection(c, carrier_detuning)
-    rp = cavity_reflection(c, np.asarray(carrier_detuning, dtype=float) + np.asarray(mod_freq))
-    rm = cavity_reflection(c, np.asarray(carrier_detuning, dtype=float) - np.asarray(mod_freq))
-    s = (np.conj(r0) * rp + r0 * np.conj(rm)) / 2.0
-    s = np.asarray(s)
+    s = _three_tone(c.kappa, c.kappa_e, np.asarray(carrier_detuning, dtype=float),
+                    np.asarray(mod_freq))
     return s if s.ndim else complex(s)
 
 
@@ -209,6 +219,13 @@ def _sideband_lorentzians(c: OpticalCavity, omega_m: float, delta: float):
     return lp, lm
 
 
+def _check_photons(n_c) -> np.ndarray:
+    n_c = np.asarray(n_c, dtype=float)
+    if not np.all(np.isfinite(n_c) & (n_c >= 0)):
+        raise ParameterError("n_c must be finite and >= 0")
+    return n_c
+
+
 def optomechanical_damping(c: OpticalCavity, m: MechanicalMode, n_c, delta: float):
     """Power-dependent linewidth gamma = gamma_m0 + n_c g0^2 (L+ - L-).
 
@@ -216,9 +233,7 @@ def optomechanical_damping(c: OpticalCavity, m: MechanicalMode, n_c, delta: floa
     (delta = -omega_m) the slope in n_c is positive: optical cooling broadens
     the line.
     """
-    n_c = np.asarray(n_c, dtype=float)
-    if np.any(n_c < 0):
-        raise ParameterError("n_c must be >= 0")
+    n_c = _check_photons(n_c)
     lp, lm = _sideband_lorentzians(c, m.omega_m, delta)
     g = m.gamma_m0 + n_c * m.g0**2 * (lp - lm)
     return g if g.ndim else float(g)
@@ -226,9 +241,7 @@ def optomechanical_damping(c: OpticalCavity, m: MechanicalMode, n_c, delta: floa
 
 def cooperativity(c: OpticalCavity, m: MechanicalMode, n_c) -> float:
     """Multiphoton cooperativity C = n_c * 4 g0^2/(kappa gamma_m0)."""
-    n_c = np.asarray(n_c, dtype=float)
-    if np.any(n_c < 0):
-        raise ParameterError("n_c must be >= 0")
+    n_c = _check_photons(n_c)
     c_om = n_c * single_photon_cooperativity(c, m)
     return c_om if c_om.ndim else float(c_om)
 
@@ -245,6 +258,18 @@ def continuous_efficiency_shape(c_om):
         raise ParameterError("cooperativity must be >= 0")
     y = c_om / (1.0 + c_om) ** 2
     return y if y.ndim else float(y)
+
+
+def red_sideband_response(c: OpticalCavity, m: MechanicalMode, n_c):
+    """Linewidth, cooperativity and relative peak output with the pump at Delta = -omega_m.
+
+    Returns (gamma, C, 4 eta_o C/(1+C)^2): the optically broadened linewidth
+    (rad/s), the multiphoton cooperativity, and the continuous conversion
+    peak relative to the microwave delivery, which reaches eta_o at C = 1.
+    """
+    gamma = optomechanical_damping(c, m, n_c, -m.omega_m)
+    c_om = cooperativity(c, m, n_c)
+    return gamma, c_om, 4.0 * continuous_efficiency_shape(c_om) * c.eta_o
 
 
 def swap_probability(c: OpticalCavity, m: MechanicalMode, d: DriveTone) -> float:

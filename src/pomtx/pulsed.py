@@ -139,8 +139,8 @@ class JitterModel:
             raise ParameterError(
                 f"distribution must be one of {_DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if self.sigma_hz < 0:
-            raise ParameterError("sigma_hz must be >= 0")
+        if not (np.isfinite(self.sigma_hz) and self.sigma_hz >= 0):
+            raise ParameterError(f"sigma_hz must be finite and >= 0, got {self.sigma_hz!r}")
         if self.distribution == "none" and self.sigma_hz != 0:
             raise ParameterError("distribution 'none' requires sigma_hz = 0")
         if self.intrinsic_gamma <= 0:
@@ -345,6 +345,8 @@ def mode_population_trace(
         raise ParameterError("t_grid must not be empty")
     if np.any(t < 0):
         raise ParameterError("t_grid times must be >= 0")
+    if not np.isfinite(detuning_hz):
+        raise ParameterError(f"detuning_hz must be finite, got {detuning_hz!r}")
     x, p = _ensemble(j, method, n_mc, seed)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
 
@@ -377,6 +379,8 @@ def conversion_spectrum(
     f = np.asarray(freq_grid_hz, dtype=float)
     if f.size == 0:
         raise ParameterError("freq_grid must not be empty")
+    if not np.all(np.isfinite(f)):
+        raise ParameterError("freq_grid must be finite")
     x, p = _ensemble(j, method, n_mc, seed)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
     t_read = s.readout_at

@@ -98,18 +98,15 @@ _SCHEMAS = {
 }
 
 
-def load_spectrum(path: str | os.PathLike) -> ComplexSpectrum:
-    """Read a spectrum CSV, auto-detecting the schema from the header."""
+def _read_rows(path, header_error) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and (n, k) float rows of a CSV; header_error(header) is None or a message."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise SpectrumFormatError(f"{path}: empty file")
     header = tuple(h.strip() for h in lines[0].split(","))
-    if header not in _SCHEMAS:
-        raise SpectrumFormatError(
-            f"{path}: unrecognised header {','.join(header)!r}; expected one of "
-            + " | ".join(",".join(h) for h in _SCHEMAS)
-        )
-    kind, has_sigma = _SCHEMAS[header]
+    msg = header_error(header)
+    if msg:
+        raise SpectrumFormatError(f"{path}: {msg}")
     rows = []
     for i, line in enumerate(lines[1:], start=1):
         if not line.strip():
@@ -122,7 +119,16 @@ def load_spectrum(path: str | os.PathLike) -> ComplexSpectrum:
         rows.append([_parse_float(c, i, name) for c, name in zip(cells, header)])
     if not rows:
         raise SpectrumFormatError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+    return header, np.asarray(rows, dtype=float)
+
+
+def load_spectrum(path: str | os.PathLike) -> ComplexSpectrum:
+    """Read a spectrum CSV, auto-detecting the schema from the header."""
+    header, arr = _read_rows(path, lambda h: None if h in _SCHEMAS else (
+        f"unrecognised header {','.join(h)!r}; expected one of "
+        + " | ".join(",".join(s) for s in _SCHEMAS)
+    ))
+    kind, has_sigma = _SCHEMAS[header]
     freq = arr[:, 0]
     sigma = arr[:, -1] if has_sigma else None
     if kind == "complex":
@@ -176,22 +182,6 @@ def write_table(path: str | os.PathLike, header: list[str], columns) -> None:
 
 def read_table(path: str | os.PathLike, required_cols: tuple[str, ...]) -> np.ndarray:
     """Read a plain CSV with the exact given header; returns an (n, k) array."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise SpectrumFormatError(f"{path}: empty file")
-    header = tuple(h.strip() for h in lines[0].split(","))
-    if header != required_cols:
-        raise SpectrumFormatError(
-            f"{path}: expected header {','.join(required_cols)!r}, got {','.join(header)!r}"
-        )
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise SpectrumFormatError(f"row {i}: expected {len(header)} cells")
-        rows.append([_parse_float(c, i, name) for c, name in zip(cells, header)])
-    if not rows:
-        raise SpectrumFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return _read_rows(path, lambda h: None if h == required_cols else (
+        f"expected header {','.join(required_cols)!r}, got {','.join(h)!r}"
+    ))[1]

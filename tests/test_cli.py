@@ -318,6 +318,60 @@ class TestMiscCommands:
         assert "pomtx" in capsys.readouterr().out
 
 
+# every float flag and span bound of every subcommand; {v} is the non-finite value
+_NON_FINITE_ARGV = [
+    "budget --temperature-k={v}",
+    "s21 --nc={v}",
+    "s21 --nc 100 --temperature-k={v}",
+    "s21 --nc 100 --span={v}:2.8e9:5",
+    "s21 --nc 100 --span=2.78e9:{v}:5",
+    "sweep-power --nc-span={v}:10:3",
+    "sweep-power --nc-span=1:{v}:3",
+    "pulse-trace --method quadrature --points 50 --pulse-us={v}",
+    "pulse-trace --method quadrature --points 50 --sigma-hz={v}",
+    "pulse-trace --method quadrature --points 50 --detuning-hz={v}",
+    "spectrum --method quadrature --pulse-us={v}",
+    "spectrum --method quadrature --sigma-hz={v}",
+    "spectrum --method quadrature --span={v}:2.8e9:50",
+    "spectrum --method quadrature --span=2.7989e9:{v}:50",
+    "fit s11-optical --in {s11} --carrier-detuning-hz={v}",
+    "fit damping --in {damping} --delta-hz={v}",
+    "fit bcs --in {bcs} --c-match-f={v}",
+    "piezo-tensor --phi-deg={v}",
+    "piezo-tensor --e14={v}",
+    "match-design --l-span={v}:3e-7:3",
+    "match-design --l-span=1e-7:{v}:3",
+    "match-design --c-span={v}:3e-14:3",
+    "match-design --c-span=5e-15:{v}:3",
+]
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """Valid input tables for the fit commands, outside the working directory."""
+    d = tmp_path_factory.mktemp("fit_inputs")
+    cav = OpticalCavity(omega_c=TWO_PI * 192.743e12, kappa=TWO_PI * 4.17e9,
+                        kappa_e=TWO_PI * 2.54e9)
+    grid = np.linspace(4e9, 12e9, 101)
+    write_table(d / "s11.csv", ["freq_hz", "mag"],
+                [grid, np.abs(three_tone_s11(cav, TWO_PI * 8e9, TWO_PI * grid))])
+    write_table(d / "damping.csv", ["n_c", "gamma_hz"],
+                [[50.0, 300.0, 900.0], [70e3, 85e3, 120e3]])
+    t = np.linspace(0.02, 7.6, 6)
+    write_table(d / "bcs.csv", ["temperature_k", "freq_hz"], [t, 2.8e9 - 1e6 * t**2])
+    return {name: str(d / f"{name}.csv") for name in ("s11", "damping", "bcs")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("template", _NON_FINITE_ARGV)
+def test_non_finite_flag_exits_2_or_3_leaving_no_file(template, value, fit_inputs, capsys,
+                                                      tmp_path):
+    argv = template.format(v=value, **fit_inputs).split()
+    assert main(argv) in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path):
     """import pomtx, pomtx.cli and a budget run leave scipy.optimize/constants unloaded."""
     probe = (

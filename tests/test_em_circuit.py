@@ -230,6 +230,13 @@ class TestElectromechanicalEfficiency:
         assert np.all(eta >= 0)
         assert np.all(eta <= 1 + 1e-12)
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, [TWO_PI * 2.8e9, np.nan], 0.0])
+    def test_non_finite_or_non_positive_frequency_rejected(self, omega):
+        m = MatchingParams(l_match=180e-9, c_match=17.16e-15, r_loss=3.0)
+        for fn in (input_impedance, electrical_s11, electromechanical_efficiency):
+            with pytest.raises(ParameterError, match="omega must be finite and > 0"):
+                fn(m, bvd_67k(), omega)
+
 
 class TestKineticInductance:
     MODEL = KineticInductanceModel(l_geometric=50e-9, l_kinetic_0=130e-9, t_c=8.0)

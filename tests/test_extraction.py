@@ -276,6 +276,29 @@ class TestBcsResonanceFit:
             bcs_resonance_fit(np.array([[1.0, 2.8e9], [2.0, 2.79e9]]), c_match=self.C_MATCH)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("fit", [lorentzian_fit, sqrt_lorentzian_fit])
+    def test_peak_data_must_be_finite(self, fit):
+        y = lorentzian(GRID, **TRUE)
+        for x, v in ((GRID, np.where(GRID == GRID[7], np.nan, y)),
+                     (np.where(GRID == GRID[7], np.inf, GRID), y)):
+            with pytest.raises(ParameterError, match="must be finite"):
+                fit(x, v)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_scalar_arguments_must_be_finite(self, value, cavity, mode_2799):
+        grid = np.linspace(4e9, 12e9, 101)
+        mag = np.abs(three_tone_s11(cavity, TWO_PI * 8e9, TWO_PI * grid))
+        with pytest.raises(ParameterError, match="carrier detuning guess must be finite"):
+            optical_s11_fit(grid, mag, value)
+        pts = np.array([[50.0, 1e5], [300.0, 2e5], [900.0, 5e5]])
+        with pytest.raises(ParameterError, match="pump detuning must be finite"):
+            g0_from_damping(pts, cavity, value, mode_2799.omega_m)
+        t = np.linspace(0.02, 7.6, 6)
+        with pytest.raises(ParameterError, match="c_match must be finite and > 0"):
+            bcs_resonance_fit(np.column_stack([t, 2.8e9 - 1e6 * t**2]), c_match=value)
+
+
 class TestBidirectionalEfficiency:
     def test_all_equal_gives_unity(self):
         assert bidirectional_efficiency(SParamQuad(3.0, 3.0, 3.0, 3.0)) == 1.0

@@ -176,6 +176,21 @@ class TestSpectrumIO:
         with pytest.raises(SpectrumFormatError, match="empty"):
             load_spectrum(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("n_c,gamma_hz\n\n", "no data rows"),
+        ("n_c,gamma_hz\n10,67000\n100\n", "row 2: expected 2 cells, got 1"),
+        ("n_c,gamma_hz\n10,67000\n100,inf\n", "row 2: non-finite 'gamma_hz' cell"),
+    ])
+    def test_both_readers_share_row_checks(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(SpectrumFormatError, match=message):
+            read_table(p, ("n_c", "gamma_hz"))
+        p.write_text(text.replace("n_c,gamma_hz", "freq_hz,mag"))
+        with pytest.raises(SpectrumFormatError, match=message.replace("gamma_hz", "mag")):
+            load_spectrum(p)
+
     def test_read_table_header_check(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("n_c,gamma_hz\n10,67000\n100,70000\n")

@@ -7,6 +7,7 @@ from scipy.constants import hbar
 from pomtx.errors import InconsistentAsymmetryError, ParameterError
 from pomtx.optomech import (
     DriveTone,
+    MechanicalMode,
     OpticalCavity,
     cavity_reflection,
     continuous_efficiency_shape,
@@ -14,6 +15,7 @@ from pomtx.optomech import (
     intracavity_photons,
     mechanics_to_optics_efficiency,
     optomechanical_damping,
+    red_sideband_response,
     single_photon_cooperativity,
     stokes_leakage,
     swap_probability,
@@ -64,6 +66,17 @@ class TestThreeToneS11:
         left = mod[:i0][np.argmin(np.abs(depth[:i0] - half))]
         right = mod[i0:][np.argmin(np.abs(depth[i0:] - half))]
         assert 0.3 * cavity.kappa < right - left < 0.7 * cavity.kappa
+
+    def test_matches_the_three_reflection_formula(self, cavity):
+        def r(delta):  # written out here, independent of the package's kernel
+            return 1 - cavity.kappa_e / (cavity.kappa / 2 - 2j * delta)
+
+        d0 = TWO_PI * 8e9
+        mods = [TWO_PI * f for f in (1e9, 7.9e9, 8.3e9, 15e9)]
+        want = [(r(d0).conjugate() * r(d0 + om) + r(d0) * r(d0 - om).conjugate()) / 2
+                for om in mods]
+        assert three_tone_s11(cavity, d0, mods) == pytest.approx(want, rel=1e-12)
+        assert [three_tone_s11(cavity, d0, om) for om in mods] == pytest.approx(want, rel=1e-12)
 
     def test_off_resonant_background(self, cavity):
         # both sidebands far away: carrier-only interference
@@ -170,6 +183,33 @@ class TestEfficiencyShape:
         # the measured optimum cooperativities sit within 0.1% of the peak
         for c in (1.04, 1.01):
             assert continuous_efficiency_shape(c) > 0.999 * 0.25
+
+
+class TestRedSidebandResponse:
+    @pytest.mark.parametrize("n_c", [0.0, 148.0, 1665.0, np.linspace(1.0, 3000.0, 300)])
+    def test_equals_separate_calls_bit_for_bit(self, cavity, mode_2799, n_c):
+        gamma, c_om, peak = red_sideband_response(cavity, mode_2799, n_c)
+        ref_c = cooperativity(cavity, mode_2799, n_c)
+        ref = (optomechanical_damping(cavity, mode_2799, n_c, -mode_2799.omega_m), ref_c,
+               4.0 * continuous_efficiency_shape(ref_c) * cavity.eta_o)
+        for got, want in zip((gamma, c_om, peak), ref):
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    def test_peak_is_eta_o_at_unit_cooperativity(self):
+        # 4 g0^2 / (kappa gamma_m0) = 1 exactly, so n_c = 1 gives C = 1
+        cav = OpticalCavity(omega_c=1e15, kappa=4.0, kappa_e=2.5)
+        mode = MechanicalMode(omega_m=10.0, gamma_m0=1.0, g0=1.0)
+        _, c_om, peak = red_sideband_response(cav, mode, 1.0)
+        assert c_om == 1.0 and peak == cav.eta_o
+
+    @pytest.mark.parametrize("n_c", [np.nan, np.inf, -np.inf, -1.0, [1.0, np.nan]])
+    def test_non_finite_or_negative_photon_number_rejected(self, cavity, mode_2799, n_c):
+        for fn in (lambda: optomechanical_damping(cavity, mode_2799, n_c, -mode_2799.omega_m),
+                   lambda: cooperativity(cavity, mode_2799, n_c),
+                   lambda: red_sideband_response(cavity, mode_2799, n_c)):
+            with pytest.raises(ParameterError, match="n_c must be finite and >= 0"):
+                fn()
 
 
 def paper_pulse(cavity, mode, energy_device_j):

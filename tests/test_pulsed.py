@@ -197,6 +197,18 @@ class TestInvalidSizes:
         with pytest.raises(ParameterError, match="nonzero time span"):
             fit([5e-6, 5e-6, 5e-6], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_jitter_detuning_and_grid_rejected(self, value):
+        with pytest.raises(ParameterError, match="sigma_hz must be finite"):
+            gaussian(value)
+        j = gaussian(27e3)
+        with pytest.raises(ParameterError, match="detuning_hz must be finite"):
+            mode_population_trace(sched(26e-6), j, [1e-6, 2e-6], detuning_hz=value,
+                                  method="quadrature")
+        with pytest.raises(ParameterError, match="freq_grid must be finite"):
+            conversion_spectrum(sched(26e-6), j, [2.799e9, value], 2.799e9,
+                                method="quadrature")
+
 
 class TestEnsembleAgainstQuadratureOracle:
     def test_trace_mc_matches_oracle(self):
