@@ -49,9 +49,12 @@ def _span(text: str) -> np.ndarray:
 
 def _nc_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
@@ -93,36 +96,40 @@ def cmd_budget(args, rep, csv):
     return [], f"total conversion efficiency: {budget.total:.3e}"
 
 
-def _s21_amplitude(device, freqs_hz, n_c, temperature_k):
-    """Relative electro-optic transduction amplitude across the mode band.
+def _s21_amplitudes(device, freqs_hz, nc_values, temperature_k):
+    """Relative electro-optic transduction amplitude across the mode band, per n_c.
 
     Per mode: circuit delivery eta_em(f) x outcoupling x 4C/(1+C)^2, with a
     unit-peak Lorentzian of the optically broadened linewidth; modes add in
-    power.
+    power.  eta_em does not depend on n_c, so it is evaluated once per mode.
+    Yields (n_c, amplitude, per-mode details).
     """
     matching = device.matching_at(temperature_k)
-    total = np.zeros_like(freqs_hz)
-    details = {}
-    for name, mode in device.mechanical.items():
-        bvd = device.bvd_for(name)
-        eta_em = np.asarray(em_circuit.electromechanical_efficiency(matching, bvd,
-                                                                    TWO_PI * freqs_hz))
-        gamma, c_om, shape = optomech.red_sideband_response(device.optical, mode, n_c)
-        lor = (gamma / 2) ** 2 / ((TWO_PI * freqs_hz - mode.omega_m) ** 2 + (gamma / 2) ** 2)
-        total += eta_em * shape * lor
-        details[name] = {
-            "fwhm_hz": gamma / TWO_PI,
-            "cooperativity": c_om,
-            "peak_shape": shape,
-        }
-    return np.sqrt(total), details
+    eta_em = {
+        name: np.asarray(em_circuit.electromechanical_efficiency(
+            matching, device.bvd_for(name), TWO_PI * freqs_hz))
+        for name in device.mechanical
+    }
+    for n_c in nc_values:
+        total = np.zeros_like(freqs_hz)
+        details = {}
+        for name, mode in device.mechanical.items():
+            gamma, c_om, shape = optomech.red_sideband_response(device.optical, mode, n_c)
+            lor = (gamma / 2) ** 2 / ((TWO_PI * freqs_hz - mode.omega_m) ** 2 + (gamma / 2) ** 2)
+            total += eta_em[name] * shape * lor
+            details[name] = {
+                "fwhm_hz": gamma / TWO_PI,
+                "cooperativity": c_om,
+                "peak_shape": shape,
+            }
+        yield n_c, np.sqrt(total), details
 
 
 def cmd_s21(args, rep, csv):
     device = _device(args, rep)
     tables, per_nc = [], {}
-    for n_c in args.nc:
-        amp, per_nc[f"{n_c:g}"] = _s21_amplitude(device, args.span, n_c, args.temperature_k)
+    for n_c, amp, details in _s21_amplitudes(device, args.span, args.nc, args.temperature_k):
+        per_nc[f"{n_c:g}"] = details
         tables.append((csv.replace(".csv", f"_nc{n_c:g}.csv"), ["freq_hz", "amplitude"],
                        [args.span, amp]))
     files = [path for path, _, _ in tables]

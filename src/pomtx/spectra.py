@@ -5,10 +5,12 @@ round-trip losslessly):
 
     freq_hz,re,im[,sigma]            complex spectrum
     freq_hz,mag[,phase_deg][,sigma]  magnitude (optionally with phase)
+    freq_hz,counts_rel               magnitude, as `pomtx spectrum` writes it
 
-Frequencies must be strictly increasing and every cell finite; violations
-are reported with the 1-based data row number.  All writes go through a
-write-temp-then-rename so readers never see partial files.
+Frequencies must be strictly increasing, every cell finite and every sigma
+positive; violations are reported with the 1-based data row number.  All
+writes go through a write-temp-then-rename so readers never see partial
+files.
 """
 
 from __future__ import annotations
@@ -74,8 +76,15 @@ class ComplexSpectrum:
             raise SpectrumFormatError(
                 f"row {row}: frequencies must be strictly increasing"
             )
-        if self.sigma is not None and self.sigma.size != self.freq_hz.size:
-            raise SpectrumFormatError("sigma column length mismatch")
+        if self.sigma is not None:
+            if self.sigma.size != self.freq_hz.size:
+                raise SpectrumFormatError("sigma column length mismatch")
+            bad = ~(np.isfinite(self.sigma) & (self.sigma > 0))
+            if np.any(bad):
+                row = int(np.argmax(bad)) + 1
+                raise SpectrumFormatError(
+                    f"row {row}: sigma must be finite and > 0, got {float(self.sigma[row - 1])}"
+                )
 
 
 def _parse_float(cell: str, row: int, col: str) -> float:
@@ -95,6 +104,7 @@ _SCHEMAS = {
     ("freq_hz", "mag", "sigma"): ("mag", True),
     ("freq_hz", "mag", "phase_deg"): ("mag_phase", False),
     ("freq_hz", "mag", "phase_deg", "sigma"): ("mag_phase", True),
+    ("freq_hz", "counts_rel"): ("mag", False),
 }
 
 

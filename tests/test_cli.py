@@ -106,6 +106,37 @@ class TestSpectraCommands:
         fit = read_report(tmp_path / "fit.json")
         assert fit["results"]["params"]["fwhm"] == pytest.approx(67e3, rel=0.02)
 
+    def test_fit_reads_the_spectrum_csv_as_written(self, tmp_path):
+        assert main(["spectrum", "--method", "quadrature", "--out", "spec.json",
+                     "--csv", "spec.csv"]) == 0
+        assert (tmp_path / "spec.csv").read_text().startswith("freq_hz,counts_rel\n")
+        assert main(["fit", "lorentzian", "--in", "spec.csv", "--out", "fit.json"]) == 0
+        fitted = read_report(tmp_path / "fit.json")["results"]["params"]["fwhm"]
+        reported = read_report(tmp_path / "spec.json")["results"]["lorentzian_fit"]
+        assert fitted == reported["params"]["fwhm"]
+
+    def test_s21_evaluates_the_circuit_once_per_mode(self, monkeypatch):
+        from pomtx import cli
+
+        calls = []
+        circuit = cli.em_circuit.electromechanical_efficiency
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return circuit(*args, **kwargs)
+
+        monkeypatch.setattr(cli.em_circuit, "electromechanical_efficiency", counting)
+        assert main(["s21", "--nc", "142,1665,3000,5000", "--span", "2.78e9:2.82e9:201",
+                     "--out", "s21.json", "--csv", "s21.csv"]) == 0
+        assert len(calls) == 2
+        assert len(read_report("s21.json")["results"]["files"]) == 4
+
+    @pytest.mark.parametrize("nc", [",", " , ,"])
+    def test_s21_empty_photon_number_list_is_a_usage_error(self, nc, capsys, tmp_path):
+        assert main(["s21", "--nc", nc, "--out", "s.json", "--csv", "s.csv"]) == 2
+        assert "expected comma-separated numbers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_pulse_trace_quadrature(self, tmp_path):
         rc = main([
             "pulse-trace", "--method", "quadrature", "--points", "801",
@@ -231,6 +262,22 @@ class TestFitCommands:
         assert rc == 0
         rep = read_report(tmp_path / "sq.json")
         assert rep["results"]["params"]["fwhm"] == pytest.approx(67e3, rel=1e-6)
+
+    @pytest.mark.parametrize("bad_sigma", [0.0, -0.01, np.nan])
+    @pytest.mark.parametrize("model", ["lorentzian", "sqrt-lorentzian"])
+    def test_non_positive_or_nan_sigma_exits_3(self, model, bad_sigma, capsys,
+                                                tmp_path_factory, tmp_path):
+        grid = np.linspace(2.799e9 - 200e3, 2.799e9 + 200e3, 41)
+        y = 0.1 + 0.9 * (33.5e3) ** 2 / ((grid - 2.799e9) ** 2 + (33.5e3) ** 2)
+        sigma = np.full(41, 0.01)
+        sigma[17] = bad_sigma
+        line = tmp_path_factory.mktemp("inputs") / "line.csv"
+        write_table(line, ["freq_hz", "mag", "sigma"], [grid, y, sigma])
+        assert main(["fit", model, "--in", str(line), "--out", "f.json"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "sigma" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rank_deficient_fit_exits_4(self, tmp_path):
         grid = np.linspace(1e9, 2e9, 32)

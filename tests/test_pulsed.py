@@ -28,7 +28,7 @@ from pomtx.pulsed import (
     per_pump_photon_efficiency,
     thermal_vs_pulse_energy,
 )
-from pomtx.pulsed import _isotonic, _single_shot
+from pomtx.pulsed import _ensemble, _ensemble_mean, _in_pulse_peak, _isotonic, _single_shot
 
 TWO_PI = 2.0 * np.pi
 TAU_M = 61.4e-6
@@ -180,6 +180,11 @@ class TestInvalidSizes:
     def test_penalty_error_needs_two_draws(self):
         with pytest.raises(ParameterError, match="n_mc must be >= 2"):
             loading_efficiency_penalty(gaussian(27e3), 26e-6, n_mc=1, seed=1)
+
+    @pytest.mark.parametrize("t_points", [-3, 0, 1])
+    def test_penalty_needs_two_grid_points(self, t_points):
+        with pytest.raises(ParameterError, match="t_points must be >= 2"):
+            loading_efficiency_penalty(gaussian(27e3), 26e-6, n_mc=100, t_points=t_points)
 
     @pytest.mark.parametrize("jitter", [quiet(), gaussian(27e3)], ids=["quiet", "gaussian"])
     def test_unknown_method_rejected(self, jitter):
@@ -388,6 +393,99 @@ class TestPenalty:
         with pytest.raises(CalibrationError):
             loading_efficiency_penalty(j2)
         assert loading_efficiency_penalty(j, 26e-6).value > 1.0
+
+
+def dense_penalty(j, pulse_s, n_mc, seed, method, t_points=2001):
+    """Peak index, value and mc_error from the mean on every grid column."""
+    x, p = _ensemble(j, method, n_mc, seed)
+    deltas = TWO_PI * x
+    t = np.linspace(0.0, pulse_s, t_points)
+    mean = _ensemble_mean(t, deltas, p, j.intrinsic_gamma, 1.0, pulse_s)
+    i = int(np.argmax(mean))
+    value = float(_single_shot(t, 0.0, j.intrinsic_gamma, 1.0, pulse_s).max() / mean[i])
+    if method == "quadrature":
+        return i, value, 0.0
+    shots = _single_shot(t[i], deltas, j.intrinsic_gamma, 1.0, pulse_s)
+    return i, value, float(value * (shots.std(ddof=1) / np.sqrt(n_mc)) / mean[i])
+
+
+def searched_index(j, pulse_s, n_mc, seed, method, t_points=2001):
+    x, p = _ensemble(j, method, n_mc, seed)
+    t = np.linspace(0.0, pulse_s, t_points)
+    return _in_pulse_peak(t, TWO_PI * x, p, j.intrinsic_gamma)[0]
+
+
+class TestPeakSearch:
+    """The branch-and-bound peak search against the dense grid, bit for bit."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        sigma_hz=st.floats(1e3, 150e3),
+        tau_s=st.floats(10e-6, 200e-6),
+        pulse_s=st.floats(5e-6, 2e-3),
+        seed=st.integers(0, 2**32 - 1),
+        n_mc=st.integers(2, 400),
+        method=st.sampled_from(["mc", "quadrature"]),
+        t_points=st.one_of(st.just(2001), st.integers(2, 300)),
+    )
+    def test_matches_dense_grid_bit_for_bit(
+        self, sigma_hz, tau_s, pulse_s, seed, n_mc, method, t_points
+    ):
+        j = JitterModel("gaussian-quasi-static", sigma_hz, 1.0 / tau_s)
+        i, value, mc_error = dense_penalty(j, pulse_s, n_mc, seed, method, t_points)
+        got = loading_efficiency_penalty(j, pulse_s, n_mc=n_mc, seed=seed, method=method,
+                                         t_points=t_points)
+        assert searched_index(j, pulse_s, n_mc, seed, method, t_points) == i
+        assert got.value == value
+        assert got.mc_error == mc_error
+
+    @pytest.mark.parametrize("method", ["mc", "quadrature"])
+    @pytest.mark.parametrize("pulse_s", [26e-6, None, 300e-6], ids=["26us", "anchored", "300us"])
+    def test_default_sizes_match_dense_grid_bit_for_bit(self, device, pulse_s, method):
+        # 10 000 draws span several offset chunks, so the chunk boundaries count
+        j = device.jitter
+        pulse_s = pulse_s or j.loading_window_s
+        i, value, mc_error = dense_penalty(j, pulse_s, 10_000, 12345, method)
+        got = loading_efficiency_penalty(j, pulse_s, method=method)
+        assert searched_index(j, pulse_s, 10_000, 12345, method) == i
+        assert (got.value, got.mc_error) == (value, mc_error)
+
+    def test_long_window_interior_peak(self, device):
+        # past saturation the Monte Carlo peak sits inside the pulse
+        i, value, mc_error = dense_penalty(device.jitter, 2e-3, 10_000, 12345, "mc")
+        assert i == 729
+        assert searched_index(device.jitter, 2e-3, 10_000, 12345, "mc") == i
+        got = loading_efficiency_penalty(device.jitter, 2e-3, n_mc=10_000, seed=12345)
+        assert (got.value, got.mc_error) == (value, mc_error)
+
+    @pytest.fixture
+    def evaluated_columns(self, monkeypatch):
+        """Column count of every _ensemble_mean call the search makes."""
+        import pomtx.pulsed as pulsed
+
+        columns = []
+
+        def counting(t, *args, **kwargs):
+            columns.append(np.size(t))
+            return _ensemble_mean(t, *args, **kwargs)
+
+        monkeypatch.setattr(pulsed, "_ensemble_mean", counting)
+        return columns
+
+    def test_anchored_window_evaluates_few_columns(self, device, evaluated_columns):
+        loading_efficiency_penalty(device.jitter)
+        assert 0 < sum(evaluated_columns) < 0.15 * 2001
+
+    def test_never_evaluates_a_lone_column(self, evaluated_columns):
+        # here only the 1-column interval before the last knot can hold the
+        # peak; einsum would sum a lone column in another order than the grid's
+        j = gaussian(1e3)
+        i, value, mc_error = dense_penalty(j, 5e-6, 500, 3, "mc", t_points=163)
+        evaluated_columns.clear()
+        got = loading_efficiency_penalty(j, 5e-6, n_mc=500, seed=3, t_points=163)
+        assert evaluated_columns[0] == 7  # the knots
+        assert len(evaluated_columns) == 2 and evaluated_columns[1] == 2
+        assert (got.value, got.mc_error) == (value, mc_error)
 
 
 class TestClickRate:
