@@ -23,6 +23,10 @@ contributes a weight p_j Omega^2 / (gamma^2/4 + delta_j^2) times a beat
 term sin^2(delta_j u / 2) at the in-pulse time u = min(t, T), and every
 post-pulse point is the mean at the pulse end times e^{-gamma (t - T)}.
 The ensemble is therefore evaluated only at the distinct in-pulse times.
+The conversion spectrum, one readout instant over many drive offsets f_i,
+does not go through _single_shot: its beat sin(pi (f_i - x_j) tin)
+separates into trig functions of f_i and of x_j (see _readout_mean), so
+it takes a few trig calls per offset and per draw, not one per pair.
 
 Calibration anchors
 -------------------
@@ -102,10 +106,16 @@ class PulseSchedule:
             raise ParameterError("mw_freq_hz must be > 0")
         if not (np.isfinite(self.mw_duration_s) and self.mw_duration_s > 0):
             raise ParameterError("mw_duration_s must be > 0")
-        if self.mw_drive_rate < 0:
-            raise ParameterError("mw_drive_rate must be >= 0")
-        if self.readout_delay_s is not None and self.readout_delay_s < 0:
-            raise ParameterError("readout_delay_s must be >= 0")
+        if not (np.isfinite(self.mw_drive_rate) and self.mw_drive_rate >= 0):
+            raise ParameterError(
+                f"mw_drive_rate must be finite and >= 0, got {self.mw_drive_rate!r}"
+            )
+        if self.readout_delay_s is not None and not (
+            np.isfinite(self.readout_delay_s) and self.readout_delay_s >= 0
+        ):
+            raise ParameterError(
+                f"readout_delay_s must be finite and >= 0, got {self.readout_delay_s!r}"
+            )
 
     @property
     def readout_at(self) -> float:
@@ -143,10 +153,16 @@ class JitterModel:
             raise ParameterError(f"sigma_hz must be finite and >= 0, got {self.sigma_hz!r}")
         if self.distribution == "none" and self.sigma_hz != 0:
             raise ParameterError("distribution 'none' requires sigma_hz = 0")
-        if self.intrinsic_gamma <= 0:
-            raise ParameterError("intrinsic_gamma must be > 0")
-        if self.loading_penalty is not None and self.loading_penalty < 1.0:
-            raise ParameterError("loading_penalty must be >= 1")
+        if not (np.isfinite(self.intrinsic_gamma) and self.intrinsic_gamma > 0):
+            raise ParameterError(
+                f"intrinsic_gamma must be finite and > 0, got {self.intrinsic_gamma!r}"
+            )
+        if self.loading_penalty is not None and not (
+            np.isfinite(self.loading_penalty) and self.loading_penalty >= 1.0
+        ):
+            raise ParameterError(
+                f"loading_penalty must be finite and >= 1, got {self.loading_penalty!r}"
+            )
 
     @property
     def is_quiet(self) -> bool:
@@ -262,6 +278,8 @@ def _single_shot(t, delta, gamma: float, omega_d: float, t_pulse: float):
 
 
 _CHUNK_ELEMENTS = 2_000_000
+# Elements per temporary of _ensemble_mean; results do not depend on it
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @cache
@@ -304,12 +322,14 @@ def _ensemble_mean(
     every post-pulse point is the mean at T times e^{-gamma (t - T)}.  So the
     ensemble is evaluated once per distinct u, and the offset-dependent sum
     sum_j w_j sin^2(delta_j u / 2) is accumulated as a matrix-vector product
-    over chunks of offsets, each temporary holding at most _CHUNK_ELEMENTS
-    (or chunk offsets, when given).
+    over chunks of _CHUNK_ELEMENTS / n_u offsets (or chunk offsets, when given).
     The product is an einsum rather than BLAS: it adds the offsets in a fixed
     order, so seeded results repeat bit for bit whatever the BLAS threading.
     With two or more distinct u, each column's sum is also independent of the
     other columns, so a subset of times with the same chunk gives the same bits.
+    That also lets each chunk be taken in blocks of columns, each temporary
+    holding about _BLOCK_ELEMENTS: the chunks fix the bits, the blocks only the
+    memory.
     """
     a = gamma / 2.0
     u, where = np.unique(np.minimum(t, t_pulse), return_inverse=True)
@@ -317,17 +337,100 @@ def _ensemble_mean(
     half_u = 0.5 * u
     beat = np.zeros_like(u)
     chunk = chunk or max(1, _CHUNK_ELEMENTS // u.size)
+    # column blocks of at least two columns, so each keeps the full width's bits
+    width = max(2, _BLOCK_ELEMENTS // min(chunk, deltas.size))
+    edges = list(range(0, u.size, width)) + [u.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
     for lo in range(0, deltas.size, chunk):
-        s = np.multiply.outer(deltas[lo : lo + chunk], half_u)
-        np.sin(s, out=s)
-        np.square(s, out=s)
-        beat += np.einsum("i,ij->j", w[lo : lo + chunk], s)
+        for c0, c1 in zip(edges[:-1], edges[1:]):
+            s = np.multiply.outer(deltas[lo : lo + chunk], half_u[c0:c1])
+            np.sin(s, out=s)
+            np.square(s, out=s)
+            beat[c0:c1] += np.einsum("i,ij->j", w[lo : lo + chunk], s)
     rise = np.expm1(-a * u)
     mean_u = (rise * rise * w.sum() + 4.0 * np.exp(-a * u) * beat) / p.sum()
     return mean_u[where.reshape(t.shape)] * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
 
 
-_KNOT_STRIDE = 32
+# Veltkamp's splitter 2^27 + 1: splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+
+
+def _two_product(x, y):
+    """x * y as hi + lo, exact for doubles (Dekker's product, no fma needed)."""
+    hi = x * y
+    xs, ys = x * _SPLIT, y * _SPLIT
+    xh, yh = xs - (xs - x), ys - (ys - y)
+    xl, yl = x - xh, y - yh
+    return hi, ((xh * yh - hi) + xh * yl + xl * yh) + xl * yl
+
+
+def _sin_cos_pi(x, tin: float):
+    """sin and cos of pi x tin, with the product carried to double-double precision.
+
+    A rounded angle is off by up to eps |pi x tin| radians; the angle's low
+    part brings that back to round-off in the result, so the difference of two
+    large, nearly equal angles stays accurate.
+    """
+    q, q_lo = _two_product(x, tin)
+    hi, lo = _two_product(np.pi, q)
+    lo = lo + np.pi * q_lo
+    s, c = np.sin(hi), np.cos(hi)
+    return s + c * lo, c - s * lo
+
+
+# Elements per temporary of the readout kernel: a few of them stay in cache
+_READOUT_CHUNK_ELEMENTS = 1 << 15
+
+
+def _readout_mean(offsets, x, p, gamma: float, omega_d: float, t_pulse: float, t_read: float):
+    """Weighted mean of _single_shot(t_read, 2 pi (f_i - x_j)) over the draws x_j (Hz).
+
+    At the fixed readout instant, with tin = min(t_read, T), a shot depends on
+    d = 2 pi (f_i - x_j) only through g = 1 / (a^2 + d^2) and sin^2(d tin / 2).
+    The sine separates: sin(theta_i - phi_j) = sin theta_i cos phi_j -
+    cos theta_i sin phi_j with theta_i = pi f_i tin and phi_j = pi x_j tin,
+    so the kernel takes 2 (n_f + n_draws) trig calls instead of n_f n_draws.
+    The difference is formed before it is squared (expanding the square into
+    three products leaves an absolute round-off that swamps a small beat),
+    the angles keep their exact value (_sin_cos_pi), and g is formed in Hz
+    from x_j - f_i, so a draw close to an offset keeps its relative accuracy.
+    G = sum_j p_j g and B = sum_j p_j g sin^2 are accumulated over chunks of
+    draws with einsum, in a fixed order, so seeded results repeat bit for bit.
+    """
+    a = gamma / 2.0
+    tin = min(t_read, t_pulse)
+    sin_f, cos_f = _sin_cos_pi(offsets, tin)
+    sin_x, cos_x = _sin_cos_pi(x, tin)
+    a_hz2 = (a / (2.0 * np.pi)) ** 2
+    g_sum = np.zeros_like(offsets)
+    b_sum = np.zeros_like(offsets)
+    chunk = max(1, _READOUT_CHUNK_ELEMENTS // offsets.size)
+    for lo in range(0, x.size, chunk):
+        part = slice(lo, lo + chunk)
+        g = np.subtract.outer(x[part], offsets)
+        np.square(g, out=g)
+        g += a_hz2
+        np.reciprocal(g, out=g)
+        b = np.multiply.outer(cos_x[part], sin_f)
+        b -= np.multiply.outer(sin_x[part], cos_f)
+        np.square(b, out=b)
+        b *= g
+        g_sum += np.einsum("i,ij->j", p[part], g)
+        b_sum += np.einsum("i,ij->j", p[part], b)
+    rise = np.expm1(-a * tin)
+    decay = np.exp(-gamma * max(t_read - t_pulse, 0.0))
+    return (
+        omega_d**2
+        * (rise * rise * g_sum + 4.0 * np.exp(-a * tin) * b_sum)
+        / (4.0 * np.pi**2 * p.sum())
+        * decay
+    )
+
+
+# Knot strides of the peak search, coarse to dense; the last must be 1
+_PEAK_STRIDES = (128, 32, 8, 1)
 # Relative round-off allowance of the peak search.  A sum of n nonnegative
 # terms is off by at most ~n eps relative (~1e-12 at 1e4 draws), so each bound
 # is widened by this plus 4 n eps.
@@ -337,37 +440,54 @@ _BOUND_SLACK = 1e-9
 def _in_pulse_peak(t, deltas, p, gamma: float) -> tuple[int, float]:
     """First argmax of _ensemble_mean on an increasing in-pulse grid, and its value.
 
-    Exact branch-and-bound over the grid for a unit drive.  The mean is
-    evaluated at every _KNOT_STRIDE-th point and the last one.  Each shot obeys
-    |beta_j(u)| <= min(u, 2 / sqrt(a^2 + delta_j^2)) and |beta_j'(u)| = e^{-a u},
-    so on a knot interval [u0, u1] the mean's slope is at most
+    Exact multi-level branch-and-bound over the grid for a unit drive.  The
+    mean is first evaluated at every _PEAK_STRIDES[0]-th point and the last
+    one.  Each shot obeys |beta_j(u)| <= min(u, 2 / sqrt(a^2 + delta_j^2)) and
+    |beta_j'(u)| = e^{-a u}, so on an interval [u0, u1] between evaluated
+    points the mean's slope is at most
     L = 2 e^{-a u0} sum_j p_j min(u1, 2 / sqrt(a^2 + delta_j^2)) / sum_j p_j,
-    and the mean inside is at most (m0 + m1) / 2 + L (u1 - u0) / 2.  Only the
-    intervals whose bound, widened by the round-off slack, reaches the best
-    knot value are evaluated densely; the rest stay -inf.  Every evaluated
+    and the mean inside is at most (m0 + m1) / 2 + L (u1 - u0) / 2.  At each
+    further stride, the intervals whose bound, widened by the round-off slack,
+    falls below the best value so far are dropped, and the points of that
+    stride inside the others are evaluated in one call; at stride 1 that is
+    every remaining point.  Unevaluated points stay -inf.  Every evaluated
     column uses the dense call's offset chunks, so it carries the dense bits,
     and every skipped one lies strictly below the maximum: the index is the
     dense np.argmax's, first-index ties included.
     """
     n = t.size
     chunk = max(1, _CHUNK_ELEMENTS // n)
-    mean = np.full(n, -np.inf)
-    knots = np.unique(np.append(np.arange(0, n, _KNOT_STRIDE), n - 1))
-    mean[knots] = _ensemble_mean(t[knots], deltas, p, gamma, 1.0, t[-1], chunk)
     a = gamma / 2.0
-    lo, hi = knots[:-1], knots[1:]
-    reach = np.minimum.outer(t[hi], 2.0 / np.sqrt(a * a + deltas * deltas)) @ p / p.sum()
-    slope = 2.0 * np.exp(-a * t[lo]) * reach
-    upper = 0.5 * (mean[lo] + mean[hi] + slope * (t[hi] - t[lo]))
+    cap = 2.0 / np.sqrt(a * a + deltas * deltas)
+    # the slope bounds take the intervals in blocks of about _BLOCK_ELEMENTS
+    rows = max(1, _BLOCK_ELEMENTS // deltas.size)
     slack = _BOUND_SLACK + 4 * deltas.size * np.finfo(float).eps
-    can_hold = upper * (1.0 + slack) >= mean[knots].max()
-    cols = [np.arange(i + 1, k) for i, k in zip(lo[can_hold], hi[can_hold])]
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=int)
-    if cols.size == 1:
-        # einsum sums a lone column as a contiguous dot product, in another order
-        cols = np.append(cols, knots[0])
-    if cols.size:
-        mean[cols] = _ensemble_mean(t[cols], deltas, p, gamma, 1.0, t[-1], chunk)
+    mean = np.full(n, -np.inf)
+    knots = np.unique(np.append(np.arange(0, n, _PEAK_STRIDES[0]), n - 1))
+    mean[knots] = _ensemble_mean(t[knots], deltas, p, gamma, 1.0, t[-1], chunk)
+    lo, hi = knots[:-1], knots[1:]
+    for stride in _PEAK_STRIDES[1:]:
+        gap = hi - lo > 1
+        lo, hi = lo[gap], hi[gap]
+        if not lo.size:
+            break
+        reach = np.concatenate([
+            np.minimum.outer(t[hi[i : i + rows]], cap) @ p for i in range(0, hi.size, rows)
+        ]) / p.sum()
+        slope = 2.0 * np.exp(-a * t[lo]) * reach
+        upper = 0.5 * (mean[lo] + mean[hi] + slope * (t[hi] - t[lo]))
+        live = upper * (1.0 + slack) >= mean.max()
+        edges = [np.append(np.arange(i, k, stride), k) for i, k in zip(lo[live], hi[live])]
+        if not edges:
+            break
+        cols = np.concatenate([e[1:-1] for e in edges])
+        if cols.size == 1:
+            # einsum sums a lone column as a contiguous dot product, in another order
+            cols = np.append(cols, knots[0])
+        if cols.size:
+            mean[cols] = _ensemble_mean(t[cols], deltas, p, gamma, 1.0, t[-1], chunk)
+        lo = np.concatenate([e[:-1] for e in edges])
+        hi = np.concatenate([e[1:] for e in edges])
     i_star = int(np.argmax(mean))
     return i_star, float(mean[i_star])
 
@@ -424,7 +544,10 @@ def conversion_spectrum(
 
     Rows are (drive frequency Hz, mean population at the readout instant).
     The same draws are reused across the grid (common random numbers), so a
-    fixed seed gives a smooth, reproducible line.
+    fixed seed gives a smooth, reproducible line.  A jittered ensemble is
+    summed by the separable readout kernel (_readout_mean), which agrees with
+    the per-shot formula to ~1e-14 relative; a quiet model is one shot per
+    offset.
     """
     f = np.asarray(freq_grid_hz, dtype=float)
     if f.size == 0:
@@ -439,13 +562,7 @@ def conversion_spectrum(
     if j.is_quiet:
         counts = _single_shot(t_read, 2 * np.pi * offsets, gamma, om, tp)
     else:
-        counts = np.empty_like(offsets)
-        # _single_shot holds up to four offsets x draws temporaries at once
-        chunk = max(1, _CHUNK_ELEMENTS // (4 * x.size))
-        for lo in range(0, offsets.size, chunk):
-            d = 2 * np.pi * (offsets[lo : lo + chunk, None] - x[None, :])
-            shots = _single_shot(t_read, d, gamma, om, tp)
-            counts[lo : lo + chunk] = np.einsum("ij,j->i", shots, p) / p.sum()
+        counts = _readout_mean(offsets, x, p, gamma, om, tp, t_read)
     return np.column_stack([f, counts])
 
 
@@ -535,12 +652,14 @@ def loading_efficiency_penalty(
     Peaks are taken at the optimal readout instant for each case, on a grid of
     t_points >= 2 instants spanning the loading pulse.  The jittered peak is
     the first argmax of the ensemble mean on that grid, found by an exact
-    branch-and-bound (_in_pulse_peak): a slope bound on each interval between
-    knots (every 32nd instant and the last) rules out the intervals that
-    cannot reach the best knot value, each bound widened by a relative slack
-    of 1e-9 + 4 n eps for n offsets, and the remaining instants are evaluated
-    with the full grid's offset chunks.  So the index, value and mc_error are
-    bit-identical to evaluating every instant.  With an explicit pulse_s any
+    multi-level branch-and-bound (_in_pulse_peak): the mean is evaluated at
+    every 128th instant and the last, then a slope bound on each interval
+    between evaluated instants rules out the intervals that cannot reach the
+    best value so far, each bound widened by a relative slack of
+    1e-9 + 4 n eps for n offsets, and every 32nd, 8th and finally every
+    instant of the remaining intervals is evaluated in turn, with the full
+    grid's offset chunks.  So the index, value and mc_error are bit-identical
+    to evaluating every instant.  With an explicit pulse_s any
     jitter model is accepted; without one, the model's anchored
     loading_window_s is used and the model must be calibrated.  The Monte
     Carlo mc_error is the sample standard error (ddof=1) of the n_mc

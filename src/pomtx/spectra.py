@@ -27,6 +27,7 @@ from .errors import SpectrumFormatError
 __all__ = ["ComplexSpectrum", "load_spectrum", "save_spectrum", "read_table", "write_table"]
 
 _FMT = "%.17g"
+_WRITE_ROWS = 1024
 
 
 @dataclass
@@ -184,9 +185,13 @@ def write_table(path: str | os.PathLike, header: list[str], columns) -> None:
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise SpectrumFormatError("table columns must have equal length")
+    # one format per row, applied to Python floats: numpy scalars format the
+    # same but slower; blocks of rows bound the Python floats held at once
+    row = ",".join([_FMT] * len(columns))
     out = [",".join(header)]
-    for i in range(n):
-        out.append(",".join(_FMT % c[i] for c in columns))
+    for lo in range(0, n, _WRITE_ROWS):
+        cells = zip(*(c[lo : lo + _WRITE_ROWS].tolist() for c in columns))
+        out.append("\n".join(row % r for r in cells))
     atomic_write_text(path, "\n".join(out) + "\n")
 
 

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomtx.device import load_config, paper_device_path
 from pomtx.errors import SpectrumFormatError, ValidationError
-from pomtx.spectra import ComplexSpectrum, load_spectrum, read_table, save_spectrum
+from pomtx.spectra import ComplexSpectrum, load_spectrum, read_table, save_spectrum, write_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,6 +122,25 @@ class TestConfig:
         assert model.name == "paper_device"
 
 
+def per_cell_table(header, columns) -> str:
+    """A table's CSV text formatted cell by cell from numpy scalars."""
+    columns = [np.asarray(c) for c in columns]
+    rows = [",".join("%.17g" % c[i] for c in columns) for i in range(columns[0].size)]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308]
+CELLS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+def table_columns(n):
+    floats = st.lists(CELLS, min_size=n, max_size=n).map(np.array)
+    ints = st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64))
+    return st.lists(st.one_of(floats, ints), min_size=1, max_size=4)
+
+
 class TestSpectrumIO:
     def test_three_row_round_trip(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -141,6 +162,24 @@ class TestSpectrumIO:
         assert np.array_equal(again.values, vals)
         save_spectrum(p2, again)
         assert p1.read_text() == p2.read_text()
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(columns=st.integers(0, 12).flatmap(table_columns))
+    def test_write_table_matches_per_cell_formatting(self, tmp_path_factory, columns):
+        # -0.0, subnormals, +-1e308, nan, inf and int64 columns format as before
+        header = [f"c{k}" for k in range(len(columns))]
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        write_table(path, header, columns)
+        assert path.read_text() == per_cell_table(header, columns)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_write_table_blocks_join_seamlessly(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        floats = rng.choice(EDGE_FLOATS + list(rng.normal(size=32)), size=n)
+        columns = [floats, np.arange(n), rng.normal(size=n) * 1e-300]
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b", "c"], columns)
+        assert path.read_text() == per_cell_table(["a", "b", "c"], columns)
 
     def test_decreasing_frequency_rejected_with_row(self, tmp_path):
         p = tmp_path / "s.csv"
