@@ -2,10 +2,10 @@
 
 Every routine fits a forward model from this package to measured (or
 synthetic) spectra and returns a FitResult with per-parameter standard
-errors from the Jacobian at the optimum.  The engine is damped least
-squares (MINPACK Levenberg-Marquardt via scipy) with finite-difference
-Jacobians; rate-like parameters are log-parameterised internally so they
-stay positive without explicit bounds.
+errors from the column-scaled Jacobian at the optimum.  The engine is
+pomtx._solvers.levenberg_marquardt, MINPACK's Levenberg-Marquardt in numpy
+with a forward-difference Jacobian; rate-like parameters are
+log-parameterised internally so they stay positive without explicit bounds.
 
 Peak-fit initialisation is deterministic: center at the argmax, width from
 the half-maximum crossing distance, offset at the median.
@@ -40,7 +40,12 @@ __all__ = [
 
 @dataclass
 class FitResult:
-    """Extracted parameters, 1-sigma errors, and fit diagnostics."""
+    """Extracted parameters, 1-sigma errors, and fit diagnostics.
+
+    n_iter counts the residual evaluations of the nonlinear fit at its start
+    and at each trial step (MINPACK's nfev; the finite-difference Jacobian
+    columns are not counted), and is 1 for the linear damping fit.
+    """
 
     params: dict[str, float]
     sigmas: dict[str, float]
@@ -84,10 +89,12 @@ def _solve(residual_fn, p0, names, is_log, weights=None, max_nfev=20000):
     """Run damped least squares in (partially) log space and package the result.
 
     p0 is given in external units; entries with is_log True are optimised as
-    log(p).  Parameter errors come from the pseudo-inverse of J^T J scaled by
-    the residual variance, mapped back through the log transform.
+    log(p).  Parameter errors come from the inverse of J^T J scaled by the
+    residual variance, formed from the column-scaled Jacobian (whose columns
+    can differ by 15 orders of magnitude, so an unscaled inverse drops whole
+    directions) and unscaled after, then mapped back through the log transform.
     """
-    from scipy.optimize import least_squares  # deferred: the package's slowest import
+    from ._solvers import levenberg_marquardt  # deferred: only fits compile the solver
 
     p0 = np.asarray(p0, dtype=float)
     is_log = np.asarray(is_log, dtype=bool)
@@ -103,18 +110,23 @@ def _solve(residual_fn, p0, names, is_log, weights=None, max_nfev=20000):
         r = residual_fn(to_external(q))
         return r if weights is None else r * weights
 
-    res = least_squares(
-        fun, q0, method="lm", xtol=1e-13, ftol=1e-13, gtol=1e-14, max_nfev=max_nfev
-    )
-    p = to_external(res.x)
+    res = levenberg_marquardt(fun, q0, ftol=1e-13, xtol=1e-13, gtol=1e-14, max_nfev=max_nfev)
     n, k = res.fun.size, res.x.size
     if n > k:
         s_sq = 2.0 * res.cost / (n - k)
     else:
         s_sq = 0.0
-    cov_q = np.linalg.pinv(res.jac.T @ res.jac) * s_sq
-    sig_q = np.sqrt(np.clip(np.diag(cov_q), 0.0, None))
-    sig_p = np.where(is_log, np.abs(p) * sig_q, sig_q)
+    cov_scaled = np.linalg.pinv(res.jac_scaled.T @ res.jac_scaled) * s_sq
+    sig_q = np.sqrt(np.clip(np.diag(cov_scaled), 0.0, None)) / res.scale
+    # a log parameter that ran off to exp(q) = 0 or inf fails the fit below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = to_external(res.x)
+        sig_p = np.where(is_log, np.abs(p) * sig_q, sig_q)
+    if not np.all(np.isfinite(p) & ~(is_log & (p == 0.0))):
+        raise FitConvergenceError(
+            "least squares ran away: "
+            + ", ".join(f"{name} = {v!r}" for name, v in zip(names, p.tolist()))
+        )
     return res, dict(zip(names, p.tolist())), dict(zip(names, sig_p.tolist()))
 
 

@@ -305,6 +305,8 @@ def _ensemble(j: JitterModel, method: str, n_mc: int, seed):
     if method == "mc":
         if n_mc < 1:
             raise ParameterError(f"n_mc must be >= 1, got {n_mc}")
+        if seed is not None and seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {seed}")
         return np.random.default_rng(seed).normal(0.0, j.sigma_hz, n_mc), np.ones(n_mc)
     if method == "quadrature":
         nodes, weights = _unit_gaussian_rule()
@@ -579,28 +581,38 @@ def calibrate_jitter(
     The objective is the Lorentzian-fit width of the quadrature ensemble
     spectrum on the given schedule (the same estimator applied to the
     measured line), evaluated on a fixed +-span_hz grid.  Deterministic.
+    sigma is bracketed on [1 Hz, target / 2]: the fitted width rises with
+    sigma only up to sigma ~ 160 kHz (on the default grid) and collapses
+    beyond it, and sigma = target / 2 gives a width above the target for
+    targets from 30 to 400 kHz.
     """
-    from scipy.optimize import brentq
-
+    from ._solvers import brent_root
     from .extraction import lorentzian_fit
 
-    if target_fwhm_hz <= 0:
-        raise ParameterError("target_fwhm_hz must be > 0")
+    if not (np.isfinite(target_fwhm_hz) and target_fwhm_hz > 0):
+        raise ParameterError(f"target_fwhm_hz must be finite and > 0, got {target_fwhm_hz!r}")
     grid = np.linspace(-span_hz, span_hz, n_points)
 
-    def fitted_width(sigma_hz: float) -> float:
-        jm = JitterModel("gaussian-quasi-static", sigma_hz, intrinsic_gamma) if sigma_hz > 0 \
-            else JitterModel("none", 0.0, intrinsic_gamma)
+    def excess_width(sigma_hz: float) -> float:
+        jm = JitterModel("gaussian-quasi-static", sigma_hz, intrinsic_gamma)
         spec = conversion_spectrum(schedule, jm, grid, 0.0, method="quadrature")
-        return lorentzian_fit(spec[:, 0], spec[:, 1]).params["fwhm"]
+        return lorentzian_fit(spec[:, 0], spec[:, 1]).params["fwhm"] - target_fwhm_hz
 
-    base = fitted_width(0.0)
-    if base >= target_fwhm_hz:
+    lo, hi = 1.0, target_fwhm_hz / 2.0
+    f_lo = excess_width(lo)
+    if f_lo >= 0:
         raise CalibrationError(
-            f"pulse-limited linewidth {base:.0f} Hz already exceeds the "
+            f"pulse-limited linewidth {f_lo + target_fwhm_hz:.0f} Hz already exceeds the "
             f"{target_fwhm_hz:.0f} Hz target; no positive sigma fits"
         )
-    sigma = brentq(lambda s: fitted_width(s) - target_fwhm_hz, 1.0, 3.0 * target_fwhm_hz, xtol=0.5)
+    f_hi = excess_width(hi)
+    if f_hi <= 0:
+        raise CalibrationError(
+            f"the fitted width is {f_lo + target_fwhm_hz:.0f} Hz at sigma = {lo:.0f} Hz and "
+            f"{f_hi + target_fwhm_hz:.0f} Hz at sigma = {hi:.0f} Hz; neither end reaches "
+            f"the {target_fwhm_hz:.0f} Hz target from the other side"
+        )
+    sigma = brent_root(excess_width, lo, hi, f_lo, f_hi, xtol=0.5)
     return JitterModel(
         "gaussian-quasi-static", float(sigma), intrinsic_gamma, line_fwhm_hz=target_fwhm_hz
     )
@@ -615,7 +627,7 @@ def anchor_loading_window(
     so a target reduction maps to a unique window; the result is stored on
     the model as loading_window_s.
     """
-    from scipy.optimize import brentq
+    from ._solvers import brent_root
 
     if j.is_quiet:
         raise CalibrationError("a quiet jitter model has no loading penalty to anchor")
@@ -625,16 +637,24 @@ def anchor_loading_window(
         raise ParameterError("penalty_target must exceed 1")
     lo, hi = bracket
 
-    def penalty(tp: float) -> float:
-        return loading_efficiency_penalty(j, tp, method="quadrature").value
+    def excess_penalty(tp: float) -> float:
+        return loading_efficiency_penalty(j, tp, method="quadrature").value - penalty_target
 
-    p_hi = penalty(hi)
-    if p_hi < penalty_target:
+    f_hi = excess_penalty(hi)
+    if f_hi < 0:
         raise CalibrationError(
             f"penalty target {penalty_target} unreachable: even a {hi*1e6:.0f} us "
-            f"loading window only reaches {p_hi:.2f} at sigma = {j.sigma_hz:.0f} Hz"
+            f"loading window only reaches {f_hi + penalty_target:.2f} at sigma = "
+            f"{j.sigma_hz:.0f} Hz"
         )
-    window = brentq(lambda tp: penalty(tp) - penalty_target, lo, hi, xtol=1e-9)
+    f_lo = excess_penalty(lo)
+    if f_lo > 0:
+        raise CalibrationError(
+            f"penalty target {penalty_target} too low: a {lo*1e6:.0f} us loading window "
+            f"already reaches {f_lo + penalty_target:.2f}, and {hi*1e6:.0f} us reaches "
+            f"{f_hi + penalty_target:.2f} at sigma = {j.sigma_hz:.0f} Hz"
+        )
+    window = brent_root(excess_penalty, lo, hi, f_lo, f_hi, xtol=1e-9)
     return replace(j, loading_window_s=float(window))
 
 
@@ -734,7 +754,7 @@ def fit_rise_time(t, population) -> float:
     This is the amplitude-buildup form a coherently driven mode follows for
     sigma = 0, where it recovers tau = 2/gamma exactly.
     """
-    from scipy.optimize import least_squares
+    from ._solvers import levenberg_marquardt
 
     t, y = _fit_points(t, population, "rise-time fit")
 
@@ -743,7 +763,7 @@ def fit_rise_time(t, population) -> float:
         rise = -np.expm1(-t / tau)
         return a * rise * rise - y
 
-    res = least_squares(resid, [float(y.max()), float(t.max() / 3.0)], method="lm")
+    res = levenberg_marquardt(resid, [float(y.max()), float(t.max() / 3.0)])
     return float(abs(res.x[1]))
 
 

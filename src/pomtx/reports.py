@@ -14,7 +14,6 @@ import platform
 from datetime import datetime, timezone
 
 import numpy
-import scipy
 
 from . import __version__
 from .spectra import atomic_write_text
@@ -40,7 +39,6 @@ def _versions() -> dict:
         "pomtx": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
     }
 
 

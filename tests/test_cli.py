@@ -115,6 +115,27 @@ class TestSpectraCommands:
         reported = read_report(tmp_path / "spec.json")["results"]["lorentzian_fit"]
         assert fitted == reported["params"]["fwhm"]
 
+    def test_spectrum_fit_errors_match_a_column_scaled_reference(self, tmp_path):
+        # the counts are ~1e-10 and the centre ~2.8e9 Hz, so the Jacobian
+        # columns differ by ~15 orders of magnitude; an unscaled inverse of
+        # J^T J used to report the centre and width errors as ~0 Hz
+        assert main(["spectrum", "--out", "spec.json", "--csv", "spec.csv"]) == 0
+        fit = read_report(tmp_path / "spec.json")["results"]["lorentzian_fit"]
+        x, y = np.loadtxt(tmp_path / "spec.csv", delimiter=",", skiprows=1).T
+        f0, g, a, off = (fit["params"][k] for k in ("center", "fwhm", "amplitude", "offset"))
+        den = (x - f0) ** 2 + (g / 2) ** 2
+        shape = (g / 2) ** 2 / den
+        jac = np.column_stack([2 * a * shape * (x - f0) / den,
+                               2 * a * shape * (1 - shape) / g, shape, np.ones_like(x)])
+        r = off + a * shape - y
+        scale = np.linalg.norm(jac, axis=0)
+        cov = np.linalg.inv((jac / scale).T @ (jac / scale)) / np.outer(scale, scale)
+        want = np.sqrt(np.diag(cov) * (r @ r) / (x.size - 4))
+        for name, w in zip(("center", "fwhm", "amplitude", "offset"), want):
+            assert fit["sigmas"][name] == pytest.approx(w, rel=0.10), name
+        assert 200 < fit["sigmas"]["center"] < 400
+        assert 700 < fit["sigmas"]["fwhm"] < 1400
+
     def test_s21_evaluates_the_circuit_once_per_mode(self, monkeypatch):
         from pomtx import cli
 
@@ -284,6 +305,19 @@ class TestFitCommands:
         write_table(tmp_path / "flat.csv", ["freq_hz", "mag"], [grid, np.full(32, 0.5)])
         assert main(["fit", "lorentzian", "--in", "flat.csv", "--out", "f.json"]) == 4
 
+    def test_non_converging_fit_exits_4(self, tmp_path, monkeypatch, capsys):
+        from pomtx import _solvers
+
+        solve = _solvers.levenberg_marquardt
+        monkeypatch.setattr(_solvers, "levenberg_marquardt",
+                            lambda fun, x0, **kw: solve(fun, x0, **{**kw, "max_nfev": 2}))
+        grid = np.linspace(2.799e9 - 300e3, 2.799e9 + 300e3, 61)
+        y = 0.1 + 1.0 / (1.0 + ((grid - 2.7991e9) / 33e3) ** 2)
+        write_table(tmp_path / "line.csv", ["freq_hz", "mag"], [grid, y])
+        assert main(["fit", "lorentzian", "--in", "line.csv", "--out", "f.json"]) == 4
+        assert "did not converge (status 5)" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
     def test_missing_input_exits_5(self):
         assert main(["fit", "lorentzian", "--in", "does_not_exist.csv"]) == 5
 
@@ -419,12 +453,23 @@ def test_non_finite_flag_exits_2_or_3_leaving_no_file(template, value, fit_input
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path):
-    """import pomtx, pomtx.cli and a budget run leave scipy.optimize/constants unloaded."""
+def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path, fit_inputs):
+    """No subcommand, every fit model included, loads any scipy module."""
     probe = (
         "import sys, pomtx, pomtx.cli\n"
-        "assert pomtx.cli.main(['budget', '--out', 'b.json']) == 0\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.constants') if m in sys.modules))\n"
+        f"fits = {fit_inputs!r}\n"
+        "runs = [['budget'], ['s21', '--nc', '100,1000'], ['sweep-power'],\n"
+        "        ['pulse-trace', '--n-mc', '500', '--points', '201'],\n"
+        "        ['spectrum', '--n-mc', '500', '--csv', 'line.csv'],\n"
+        "        ['spectrum', '--method', 'quadrature'], ['piezo-tensor'], ['match-design'],\n"
+        "        ['fit', 'lorentzian', '--in', 'line.csv'],\n"
+        "        ['fit', 'sqrt-lorentzian', '--in', 'line.csv'],\n"
+        "        ['fit', 's11-optical', '--in', fits['s11'], '--carrier-detuning-hz', '8e9'],\n"
+        "        ['fit', 'damping', '--in', fits['damping']],\n"
+        "        ['fit', 'bcs', '--in', fits['bcs']]]\n"
+        "for argv in runs:\n"
+        "    assert pomtx.cli.main(argv + ['--out', 'rep.json']) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -286,6 +286,11 @@ class TestEnsembleAgainstQuadratureOracle:
         assert np.array_equal(a.population, b.population)
         assert not np.array_equal(a.population, c.population)
 
+    def test_negative_seed_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            mode_population_trace(sched(50e-6), gaussian(27e3), np.linspace(0, 50e-6, 11),
+                                  n_mc=10, seed=-1)
+
 
 class TestCalibration:
     def test_sigma_reproduces_config(self, device):
@@ -304,7 +309,28 @@ class TestCalibration:
 
     def test_unreachable_target_raises(self):
         with pytest.raises(CalibrationError):
-            calibrate_jitter(1e3, sched(26e-6), GAMMA)  # pulse limit ~34 kHz > 1 kHz
+            calibrate_jitter(1e3, sched(26e-6), GAMMA)  # pulse limit ~27 kHz > 1 kHz
+
+    @pytest.mark.parametrize("target", [80e3, 120e3])
+    def test_broad_targets_calibrate(self, target):
+        # above ~70 kHz the old bracket end 3 x target sat past the width's
+        # maximum (~160 kHz of sigma), where the fitted width collapses
+        j = calibrate_jitter(target, sched(26e-6), GAMMA)
+        spec = conversion_spectrum(
+            sched(26e-6), j, np.linspace(-250e3, 250e3, 201), 0.0, method="quadrature"
+        )
+        assert lorentzian_fit(spec[:, 0], spec[:, 1]).params["fwhm"] == pytest.approx(
+            target, rel=1e-3)
+
+    def test_non_bracketing_target_is_a_calibration_error(self):
+        # sigma = 300 kHz is past the width's maximum: the fit there gives ~14 kHz
+        with pytest.raises(CalibrationError, match="14[0-9]{3} Hz at sigma = 300000 Hz"):
+            calibrate_jitter(600e3, sched(26e-6), GAMMA)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+    def test_target_must_be_finite_and_positive(self, target):
+        with pytest.raises(ParameterError):
+            calibrate_jitter(target, sched(26e-6), GAMMA)
 
 
 class TestConversionSpectrum:
@@ -463,6 +489,12 @@ class TestPenalty:
         p1 = loading_efficiency_penalty(j, 50e-6, n_mc=5000, seed=21)
         p2 = loading_efficiency_penalty(j, 50e-6, n_mc=10000, seed=22)
         assert abs(p1.value - p2.value) < 2 * (p1.mc_error + p2.mc_error)
+
+    def test_anchor_target_below_the_bracket_rejected(self, device):
+        # a 5 us window already gives ~1.06; the root finder never sees an
+        # unbracketed target
+        with pytest.raises(CalibrationError, match="too low.*reaches 1.06"):
+            anchor_loading_window(device.jitter, 1.001)
 
     def test_unreachable_anchor_target_rejected(self):
         # a 1 kHz jitter scale saturates near the CW limit well below 6.9
