@@ -93,6 +93,8 @@ def _solve(residual_fn, p0, names, is_log, weights=None, max_nfev=20000):
     residual variance, formed from the column-scaled Jacobian (whose columns
     can differ by 15 orders of magnitude, so an unscaled inverse drops whole
     directions) and unscaled after, then mapped back through the log transform.
+    A parameter whose Jacobian column is exactly zero at the solution fails
+    the fit: the residuals do not determine it, and pinv would give it error 0.
     """
     from ._solvers import levenberg_marquardt  # deferred: only fits compile the solver
 
@@ -126,6 +128,11 @@ def _solve(residual_fn, p0, names, is_log, weights=None, max_nfev=20000):
         raise FitConvergenceError(
             "least squares ran away: "
             + ", ".join(f"{name} = {v!r}" for name, v in zip(names, p.tolist()))
+        )
+    flat = [name for name, col in zip(names, res.jac_scaled.T) if not col.any()]
+    if flat:
+        raise FitConvergenceError(
+            "the residuals do not depend on " + ", ".join(flat) + " at the solution"
         )
     return res, dict(zip(names, p.tolist())), dict(zip(names, sig_p.tolist()))
 

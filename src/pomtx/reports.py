@@ -42,15 +42,14 @@ def _versions() -> dict:
     }
 
 
-def base_report(command: str, inputs: dict, seed: int | None,
-                provenance: dict | None = None) -> dict:
+def base_report(command: str, inputs: dict, seed: int | None) -> dict:
     return {
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "versions": _versions(),
         "inputs": inputs,
-        "provenance": provenance or {},
+        "provenance": {},
         "results": {},
     }
 

@@ -318,6 +318,15 @@ class TestFitCommands:
         assert "did not converge (status 5)" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
+    def test_s11_guess_below_the_sweep_exits_4(self, fit_inputs, capsys, tmp_path):
+        # both starts run off to rates of 1e83 Hz and more, where |S11| no
+        # longer depends on any parameter: a failed fit, not zero errors
+        argv = ["fit", "s11-optical", "--in", fit_inputs["s11"],
+                "--carrier-detuning-hz=-1e7", "--out", "f.json"]
+        assert main(argv) == 4
+        assert "failed from both coupling starts" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_input_exits_5(self):
         assert main(["fit", "lorentzian", "--in", "does_not_exist.csv"]) == 5
 
@@ -454,7 +463,7 @@ def test_non_finite_flag_exits_2_or_3_leaving_no_file(template, value, fit_input
 
 
 def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path, fit_inputs):
-    """No subcommand, every fit model included, loads any scipy module."""
+    """No subcommand, every fit model included, loads any scipy or jsonschema module."""
     probe = (
         "import sys, pomtx, pomtx.cli\n"
         f"fits = {fit_inputs!r}\n"
@@ -469,7 +478,7 @@ def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path, fit_inputs):
         "        ['fit', 'bcs', '--in', fits['bcs']]]\n"
         "for argv in runs:\n"
         "    assert pomtx.cli.main(argv + ['--out', 'rep.json']) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -44,18 +44,6 @@ class TestConfig:
         assert model.matching.z_source == 50.0
         assert prov["electrical.matching.z_source_ohm"] == "default"
 
-    def test_round_trip_serialization(self, device, tmp_path):
-        p = tmp_path / "echo.json"
-        p.write_text(json.dumps(device.to_dict()))
-        again, _ = load_config(p)
-        assert again.optical == device.optical
-        assert again.mechanical == device.mechanical
-        assert again.matching == device.matching
-        assert again.kinetic == device.kinetic
-        assert again.jitter == device.jitter
-        assert again.losses == device.losses
-        assert again.noise_table == device.noise_table
-
     def test_empty_file_is_parse_error(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("")
@@ -120,6 +108,114 @@ class TestConfig:
         monkeypatch.setenv("POMTX_CONFIG_DIR", str(tmp_path))
         model, _ = load_config("mydev")
         assert model.name == "paper_device"
+
+
+# every field of the shipped config that load_config marks in its provenance map
+SHIPPED_FIELDS = (
+    *(f"optical.{k}" for k in ("freq_hz", "kappa_hz", "kappa_e_hz")),
+    *(f"mechanical.2.799GHz.{k}" for k in ("freq_hz", "gamma_hz", "g0_hz", "tau_energy_s")),
+    *(f"mechanical.2.790GHz.{k}" for k in ("freq_hz", "gamma_hz", "g0_hz")),
+    "default_mode",
+    "electrical.bvd.c_res_f",
+    "electrical.bvd.k_eff_sq",
+    *(f"electrical.matching.{k}" for k in ("l_match_h", "c_match_f", "r_loss_ohm",
+                                           "z_source_ohm")),
+    *(f"electrical.kinetic.{k}" for k in ("l_geometric_h", "l_kinetic_0_h", "t_c_k")),
+    *(f"losses.{k}" for k in ("eta_coup", "eta_chain", "mw_line_attenuation_db")),
+    *(f"jitter.{k}" for k in ("distribution", "sigma_hz", "line_fwhm_hz", "loading_window_s",
+                              "loading_penalty")),
+    *(f"pulse.{k}" for k in ("mw_duration_s", "trace_duration_s", "optical_energy_j",
+                             "optical_length_s", "repetition_period_s")),
+    "noise_table",
+)
+
+
+class TestConfigContract:
+    """load_config states the shipped schema's field rules, and only the
+    loader's own rules (cross-field and finiteness) on top."""
+
+    def test_complete_provenance_map(self, tmp_path):
+        src = f"config:{paper_device_path()}"
+        _, prov = load_config("paper_device")
+        assert prov == {k: src for k in SHIPPED_FIELDS}
+
+        raw = json.loads(paper_device_path().read_text())
+        del raw["electrical"]["matching"]["r_loss_ohm"]
+        del raw["electrical"]["matching"]["z_source_ohm"]
+        p = tmp_path / "dev.json"
+        p.write_text(json.dumps(raw))
+        model, prov = load_config(p)
+        defaults = {"electrical.matching.r_loss_ohm", "electrical.matching.z_source_ohm"}
+        assert prov == {k: "default" if k in defaults else f"config:{p}"
+                        for k in SHIPPED_FIELDS}
+        assert (model.matching.r_loss, model.matching.z_source) == (0.0, 50.0)
+
+    @pytest.mark.parametrize("name", [0, True, None, ["dev"]])
+    def test_non_string_name_is_a_violation(self, tmp_path, name):
+        raw = json.loads(paper_device_path().read_text())
+        raw["name"] = name
+        p = tmp_path / "dev.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as err:
+            load_config(p)
+        assert [v.split(":")[0] for v in err.value.violations] == ["name"]
+
+
+def _field_paths(node, prefix=()):
+    """Every key and list index of a parsed config, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, (*prefix, key))
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+SHIPPED = json.loads(paper_device_path().read_text())
+DELETE = object()
+# violations of the loader's own rules, which the schema cannot state
+LOADER_RULES = ("must be finite", "exceeds total linewidth", "is not a defined mechanical mode",
+                "within 1%", "required when jitter is enabled", "strictly increasing")
+
+
+@pytest.fixture(scope="module")
+def schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(
+        paper_device_path().with_name("device_config.schema.json").read_text())
+    return jsonschema.Draft202012Validator(schema)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(path=st.sampled_from(list(_field_paths(SHIPPED))),
+       value=st.sampled_from([0, -1, 2, 1e-20, "x", True, None, float("inf"), DELETE]))
+def test_single_field_verdict_matches_jsonschema(schema_validator, tmp_path_factory, path,
+                                                 value):
+    raw = json.loads(json.dumps(SHIPPED))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    p = tmp_path_factory.mktemp("mutated") / "dev.json"
+    p.write_text(json.dumps(raw))
+    try:
+        load_config(p)
+        violations = []
+    except ValidationError as err:
+        violations = err.violations
+    field_level = [v for v in violations if not any(rule in v for rule in LOADER_RULES)]
+    assert bool(field_level) == (not schema_validator.is_valid(raw)), violations
+    # each field-level violation names the mutated field, one of its parents or children
+    target = _dotted(path)
+    for v in field_level:
+        where = v.split(": ")[0]
+        assert target.startswith(where) or where.startswith(target), (target, v)
 
 
 def per_cell_table(header, columns) -> str:
