@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -44,6 +45,7 @@ def _span(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {text!r}") from None
     if grid.size < 2:
         raise argparse.ArgumentTypeError("span needs at least 2 points")
+    grid.flags.writeable = False  # a default grid is shared by every run of the parser
     return grid
 
 
@@ -326,7 +328,9 @@ def _run(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process: building it costs more than a small run."""
     ap = argparse.ArgumentParser(
         prog="pomtx",
         description="Piezo-optomechanical microwave-to-optics transducer toolkit",

@@ -197,7 +197,7 @@ def _walk(value, schema: dict, path: str, violations: list[str], prov: dict[str,
                       prov, src)
         return
     n_before = len(violations)
-    if kind == "array":  # the noise table: [energy_j, n_th] rows, non-finite cells allowed
+    if kind == "array":  # the noise table: [energy_j, n_th] rows of finite numbers
         if not isinstance(value, list):
             violations.append(f"{path}: must be a list of [energy_j, n_th] rows")
             return
@@ -209,6 +209,9 @@ def _walk(value, schema: dict, path: str, violations: list[str], prov: dict[str,
                 violations.append(f"{path}[{i}]: must be [energy_j, n_th] numbers")
             elif row[1] < n_th_min:
                 violations.append(f"{path}[{i}]: n_th must be >= {n_th_min}")
+            else:  # the schema admits any number; the table is interpolated
+                violations.extend(f"{path}[{i}][{k}]: must be finite"
+                                  for k, v in enumerate(row) if not math.isfinite(v))
     elif "enum" in schema:
         if value not in schema["enum"]:
             violations.append(f"{path}: unknown value {value!r}")

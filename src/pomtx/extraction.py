@@ -129,12 +129,20 @@ def _solve(residual_fn, p0, names, is_log, weights=None, max_nfev=20000):
             "least squares ran away: "
             + ", ".join(f"{name} = {v!r}" for name, v in zip(names, p.tolist()))
         )
+    _require_every_column(res, names)
+    return res, dict(zip(names, p.tolist())), dict(zip(names, sig_p.tolist()))
+
+
+def _require_every_column(res, names) -> None:
+    """Fail a fit naming each parameter whose Jacobian column is exactly zero at the solution.
+
+    The residuals do not determine such a parameter, and pinv would give it error 0.
+    """
     flat = [name for name, col in zip(names, res.jac_scaled.T) if not col.any()]
     if flat:
         raise FitConvergenceError(
             "the residuals do not depend on " + ", ".join(flat) + " at the solution"
         )
-    return res, dict(zip(names, p.tolist())), dict(zip(names, sig_p.tolist()))
 
 
 def _finish(res, params, sigmas, data_norm, meta=None) -> FitResult:

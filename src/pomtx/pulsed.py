@@ -23,6 +23,10 @@ contributes a weight p_j Omega^2 / (gamma^2/4 + delta_j^2) times a beat
 term sin^2(delta_j u / 2) at the in-pulse time u = min(t, T), and every
 post-pulse point is the mean at the pulse end times e^{-gamma (t - T)}.
 The ensemble is therefore evaluated only at the distinct in-pulse times.
+On a trace those times are usually an even lattice (a linspace grid), and
+the beat is summed there by angle addition from every 16th time, so a
+draw takes a few trig calls per 16 times instead of one per time (see
+_lattice_beat); every other ensemble keeps one sine per draw and time.
 The conversion spectrum, one readout instant over many drive offsets f_i,
 does not go through _single_shot: its beat sin(pi (f_i - x_j) tin)
 separates into trig functions of f_i and of x_j (see _readout_mean), so
@@ -50,7 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import CalibrationError, ParameterError, TableRangeError
+from .errors import CalibrationError, FitConvergenceError, ParameterError, TableRangeError
 from .optomech import (
     DriveTone,
     continuous_efficiency_shape,
@@ -314,8 +318,26 @@ def _ensemble(j: JitterModel, method: str, n_mc: int, seed):
     raise ParameterError(f"unknown method {method!r}")
 
 
+def _dense_beat(half_u, deltas, w, chunk: int) -> np.ndarray:
+    """sum_j w_j sin^2(delta_j u_k / 2) with one sine per draw and time (see _ensemble_mean)."""
+    beat = np.zeros_like(half_u)
+    # column blocks of at least two columns, so each keeps the full width's bits
+    width = max(2, _BLOCK_ELEMENTS // min(chunk, deltas.size))
+    edges = list(range(0, half_u.size, width)) + [half_u.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo in range(0, deltas.size, chunk):
+        for c0, c1 in zip(edges[:-1], edges[1:]):
+            s = np.multiply.outer(deltas[lo : lo + chunk], half_u[c0:c1])
+            np.sin(s, out=s)
+            np.square(s, out=s)
+            beat[c0:c1] += np.einsum("i,ij->j", w[lo : lo + chunk], s)
+    return beat
+
+
 def _ensemble_mean(
-    t, deltas, p, gamma: float, omega_d: float, t_pulse: float, chunk: int | None = None
+    t, deltas, p, gamma: float, omega_d: float, t_pulse: float, chunk: int | None = None,
+    *, lattice: bool = False,
 ) -> np.ndarray:
     """Weighted mean of _single_shot(t, delta_j) over the offsets delta_j (rad/s).
 
@@ -332,24 +354,22 @@ def _ensemble_mean(
     That also lets each chunk be taken in blocks of columns, each temporary
     holding about _BLOCK_ELEMENTS: the chunks fix the bits, the blocks only the
     memory.
+
+    With lattice=True, the leading run of distinct u that lies on an even
+    lattice (_lattice_run) is summed by _lattice_beat instead, and only the
+    rest goes through the dense kernel above.  That path agrees with the dense
+    one to ~1e-12 relative, not bit for bit, so only the trace takes it.
     """
     a = gamma / 2.0
     u, where = np.unique(np.minimum(t, t_pulse), return_inverse=True)
     w = p * omega_d**2 / (a * a + deltas * deltas)
-    half_u = 0.5 * u
-    beat = np.zeros_like(u)
-    chunk = chunk or max(1, _CHUNK_ELEMENTS // u.size)
-    # column blocks of at least two columns, so each keeps the full width's bits
-    width = max(2, _BLOCK_ELEMENTS // min(chunk, deltas.size))
-    edges = list(range(0, u.size, width)) + [u.size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    for lo in range(0, deltas.size, chunk):
-        for c0, c1 in zip(edges[:-1], edges[1:]):
-            s = np.multiply.outer(deltas[lo : lo + chunk], half_u[c0:c1])
-            np.sin(s, out=s)
-            np.square(s, out=s)
-            beat[c0:c1] += np.einsum("i,ij->j", w[lo : lo + chunk], s)
+    n_lat = _lattice_run(u) if lattice else 0
+    beat = np.empty_like(u)
+    if n_lat:
+        beat[:n_lat] = _lattice_beat(u[:n_lat], deltas, w)
+    if n_lat < u.size:
+        chunk = chunk or max(1, _CHUNK_ELEMENTS // u.size)
+        beat[n_lat:] = _dense_beat(0.5 * u[n_lat:], deltas, w, chunk)
     rise = np.expm1(-a * u)
     mean_u = (rise * rise * w.sum() + 4.0 * np.exp(-a * u) * beat) / p.sum()
     return mean_u[where.reshape(t.shape)] * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
@@ -380,6 +400,76 @@ def _sin_cos_pi(x, tin: float):
     lo = lo + np.pi * q_lo
     s, c = np.sin(hi), np.cos(hi)
     return s + c * lo, c - s * lo
+
+
+# Lattice times per anchor of _lattice_beat, and draws per chunk
+_LATTICE_STRIDE = 16
+_LATTICE_CHUNK = 2048
+# A time within this many ulps of its lattice point is on the lattice
+_LATTICE_ULPS = 4
+
+
+def _lattice_run(u) -> int:
+    """Length of the leading run of the increasing times u that is evenly spaced.
+
+    The run's spacing is h = (u_{n-1} - u_0) / (n - 1), and every u_k in it is
+    within _LATTICE_ULPS ulps of u_0 + k h.  A linspace grid qualifies whole.
+    A single time is no run.
+    """
+    if u.size < 2:
+        return 0
+    eps = np.finfo(float).eps
+    gaps = np.diff(u)
+    uneven = np.abs(gaps - gaps[0]) > 2 * _LATTICE_ULPS * eps * u[1:]
+    n = int(np.argmax(uneven)) + 1 if uneven.any() else u.size
+    while n > 2:
+        h = (u[n - 1] - u[0]) / (n - 1)
+        k = np.arange(n)
+        off = np.abs(u[:n] - (u[0] + k * h)) > _LATTICE_ULPS * eps * u[:n]
+        if not off.any():
+            break
+        n = int(np.argmax(off))
+    return n if n > 1 else 0
+
+
+def _lattice_beat(u, deltas, w) -> np.ndarray:
+    """sum_j w_j sin^2(delta_j u_k / 2) on an even lattice u_k = u_0 + k h (see _lattice_run).
+
+    Every B-th time (B = _LATTICE_STRIDE) is an anchor: with k = b B + r the
+    angle is A_jb + R_jr, A_jb = delta_j u_{bB} / 2 and R_jr = delta_j r h / 2, and
+
+        sin^2(A + R) = sA^2 cR^2 + 2 sA cA sR cR + cA^2 sR^2,
+
+    so the sum over draws is three contractions of (anchors x draws) against
+    (residuals x draws) arrays.  The residuals come from one sine and cosine
+    per draw by rotation, so a draw takes 2 K / B + 2 trig calls for K times
+    instead of K.  A lattice time sits within _LATTICE_ULPS ulps of its u_k, so
+    its angle is off by a few ulps, as the dense kernel's rounded angle is.
+    The contractions are einsums over chunks of _LATTICE_CHUNK draws in a
+    fixed order, so seeded results repeat bit for bit whatever the BLAS
+    threading, and no temporary holds more than about _BLOCK_ELEMENTS.
+    """
+    n = u.size
+    stride = min(_LATTICE_STRIDE, n)
+    half_anchor = 0.5 * u[::stride]
+    half_step = 0.5 * (u[-1] - u[0]) / (n - 1)
+    out = np.zeros((half_anchor.size, stride))
+    chunk = max(1, min(_LATTICE_CHUNK, _BLOCK_ELEMENTS // max(half_anchor.size, stride)))
+    for lo in range(0, deltas.size, chunk):
+        d, wd = deltas[lo : lo + chunk], w[lo : lo + chunk]
+        angle = np.multiply.outer(half_anchor, d)
+        s_a, c_a = np.sin(angle), np.cos(angle)
+        s1, c1 = np.sin(d * half_step), np.cos(d * half_step)
+        s_r, c_r = np.empty((stride, d.size)), np.empty((stride, d.size))
+        s_r[0], c_r[0] = 0.0, 1.0
+        for r in range(1, stride):
+            s_r[r] = s_r[r - 1] * c1 + c_r[r - 1] * s1
+            c_r[r] = c_r[r - 1] * c1 - s_r[r - 1] * s1
+        ws, wc = wd * s_a, wd * c_a
+        out += np.einsum("bj,rj->br", ws * s_a, c_r * c_r)
+        out += np.einsum("bj,rj->br", 2.0 * ws * c_a, s_r * c_r)
+        out += np.einsum("bj,rj->br", wc * c_a, s_r * s_r)
+    return out.ravel()[:n]
 
 
 # Elements per temporary of the readout kernel: a few of them stay in cache
@@ -508,9 +598,12 @@ def mode_population_trace(
 
     detuning_hz is the nominal drive-minus-mode offset; each realization adds
     one quasi-static jitter draw on top.  method="mc" averages n_mc seeded
-    draws in chunks (order-independent to well below 1e-10 relative);
-    method="quadrature" integrates the Gaussian with Gauss-Hermite nodes and
-    is deterministic.
+    draws; method="quadrature" integrates the Gaussian with Gauss-Hermite
+    nodes.  Both are deterministic, and a seeded trace repeats bit for bit.
+    The leading evenly spaced run of in-pulse times is summed by the lattice
+    kernel (_lattice_beat) and any other time by the dense one; both agree
+    with a long-double evaluation of the per-shot formula to 1e-11 relative,
+    or to a few ulps of each shot's angle where beats pass close to zero.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
@@ -526,7 +619,7 @@ def mode_population_trace(
         pop = _single_shot(t, 2 * np.pi * detuning_hz, gamma, om, tp)
         return PopulationTrace(t, pop, 0, seed, "analytic", 0.0)
 
-    pop = _ensemble_mean(t, 2 * np.pi * (detuning_hz + x), p, gamma, om, tp)
+    pop = _ensemble_mean(t, 2 * np.pi * (detuning_hz + x), p, gamma, om, tp, lattice=True)
     if method == "mc":
         return PopulationTrace(t, pop, n_mc, seed, "mc", j.sigma_hz)
     return PopulationTrace(t, pop, 0, None, "quadrature", j.sigma_hz)
@@ -752,9 +845,13 @@ def fit_rise_time(t, population) -> float:
     """Saturation time constant tau of A (1 - exp(-t/tau))^2 on a rising trace.
 
     This is the amplitude-buildup form a coherently driven mode follows for
-    sigma = 0, where it recovers tau = 2/gamma exactly.
+    sigma = 0, where it recovers tau = 2/gamma exactly.  A trace that is
+    already flat from its second sample does not resolve tau: the fit fails
+    (FitConvergenceError) when tau comes out below the spacing of the first
+    two samples, or when the residuals do not depend on it at all.
     """
     from ._solvers import levenberg_marquardt
+    from .extraction import _require_every_column
 
     t, y = _fit_points(t, population, "rise-time fit")
 
@@ -764,7 +861,14 @@ def fit_rise_time(t, population) -> float:
         return a * rise * rise - y
 
     res = levenberg_marquardt(resid, [float(y.max()), float(t.max() / 3.0)])
-    return float(abs(res.x[1]))
+    _require_every_column(res, ("amplitude", "rise_time"))
+    tau = float(abs(res.x[1]))
+    if not tau >= t[1] - t[0]:
+        raise FitConvergenceError(
+            f"rise time {tau:.3g} s is below the {t[1] - t[0]:.3g} s sample spacing: "
+            "the trace is saturated before its second sample"
+        )
+    return tau
 
 
 def click_rate(population: float, p_sw: float, c: CountModel) -> float:

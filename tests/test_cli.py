@@ -204,6 +204,44 @@ class TestSpectraCommands:
         assert 0 < res["penalty_mc_error"] < res["penalty_at_anchor_window"]
 
 
+class TestParserReuse:
+    """main() builds its parser once per process, so runs must not leak into each other."""
+
+    RUNS = [
+        ["s21", "--nc", "100,1000"],
+        ["sweep-power"],
+        ["s21", "--nc", "10", "--span", "2.79e9:2.8e9:11"],
+        ["sweep-power", "--nc-span", "1:50:7"],
+    ]
+
+    def test_repeated_runs_write_identical_files(self, tmp_path, monkeypatch):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            monkeypatch.chdir(tmp_path / d)
+            for i, argv in enumerate(self.RUNS):
+                assert main(argv + ["--out", f"r{i}.json", "--csv", f"r{i}.csv"]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            a, b = (tmp_path / d / name for d in ("a", "b"))
+            if name.endswith(".json"):
+                a, b = (read_report(p) for p in (a, b))
+                a.pop("timestamp"), b.pop("timestamp")
+                assert a == b, name
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
+    def test_default_grids_are_read_only(self):
+        from pomtx.cli import build_parser
+
+        assert build_parser() is build_parser()
+        for argv, dest in ((["s21", "--nc", "1"], "span"), (["sweep-power"], "nc_span")):
+            grid = getattr(build_parser().parse_args(argv), dest)
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[0] = 0.0
+
+
 class TestInvalidPulsedInputs:
     @pytest.mark.parametrize("argv", [
         ["pulse-trace", "--n-mc", "0"],
@@ -224,6 +262,15 @@ class TestInvalidPulsedInputs:
         assert err.startswith("pomtx: validation error:")
         assert "Traceback" not in err
         # several cases fail only after the trace or spectrum is computed
+        assert list(tmp_path.iterdir()) == []
+
+    def test_saturated_rise_time_exits_4(self, capsys, tmp_path):
+        # a 10 ms pulse sampled every ~100 us is flat from the second sample on
+        argv = ["pulse-trace", "--pulse-us", "10000", "--points", "101", "--n-mc", "64",
+                "--out", "sat.json", "--csv", "sat.csv"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pomtx: fit error:") and "rise_time" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["pulse-trace", "spectrum"])

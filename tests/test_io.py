@@ -98,6 +98,29 @@ class TestConfig:
         assert model.jitter.is_quiet
         assert model.jitter.intrinsic_gamma == 1.0 / model.mode().tau_energy
 
+    @pytest.mark.parametrize("cell", [0, 1])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_noise_table_cell_rejected(self, tmp_path, cell, value):
+        # the schema admits any number here; the loader is stricter
+        raw = json.loads(paper_device_path().read_text())
+        raw["noise_table"][1][cell] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as err:
+            load_config(p)
+        assert err.value.violations == [f"noise_table[1][{cell}]: must be finite"]
+
+    def test_non_finite_noise_table_cell_fails_budget(self, tmp_path, monkeypatch, capsys):
+        from pomtx.cli import main
+
+        raw = json.loads(paper_device_path().read_text())
+        raw["noise_table"][1] = [4e-14, float("inf")]
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["budget", "--config", "bad.json", "--out", "b.json"]) == 3
+        assert "noise_table[1][1]: must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.json")

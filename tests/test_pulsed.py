@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pomtx.pulsed as pulsed
-from pomtx.errors import CalibrationError, ParameterError, TableRangeError
+from pomtx.errors import CalibrationError, FitConvergenceError, ParameterError, TableRangeError
 from pomtx.extraction import lorentzian_fit
 from pomtx.optomech import DriveTone, swap_probability
 from pomtx.pulsed import (
@@ -429,6 +429,85 @@ class TestReadoutKernelAgainstLongDouble:
         np.testing.assert_allclose(counts[:, 1], want, rtol=1e-11, atol=1e-300)
 
 
+def longdouble_trace(s, j, t, detuning_hz, n_mc, seed, method):
+    """mode_population_trace's population from _single_shot's formula, shot by shot in long double.
+
+    Also returns each time's mean of |d shot / d ln theta| at the beat angle
+    theta = delta u / 2: the population's sensitivity to a relative error in
+    the angles, which every double-precision kernel rounds.
+    """
+    x, p = _ensemble(j, method, n_mc, seed)
+    ld = np.longdouble
+    d = 2 * ld(np.pi) * (ld(detuning_hz) + x.astype(ld))[:, None]
+    gamma = ld(j.intrinsic_gamma)
+    a = gamma / 2
+    t_ld, t_pulse = t.astype(ld), ld(s.mw_duration_s)
+    tin = np.minimum(t_ld, t_pulse)
+    theta = d * tin / 2
+    beat = np.sin(theta)
+    shots = (np.expm1(-a * tin) ** 2 + 4 * np.exp(-a * tin) * beat * beat) / (a * a + d * d)
+    slope = 4 * np.exp(-a * tin) * np.abs(theta * np.sin(2 * theta)) / (a * a + d * d)
+    weights = p.astype(ld)[:, None] / p.astype(ld).sum()
+    scale = ld(s.mw_drive_rate) ** 2 * np.exp(-gamma * np.maximum(t_ld - t_pulse, ld(0)))
+    return ((shots * weights).sum(axis=0) * scale).astype(float), \
+        ((slope * weights).sum(axis=0) * scale).astype(float)
+
+
+# Angle error allowed on top of rtol, in ulps: a lattice time lies within
+# pulsed._LATTICE_ULPS ulps of its lattice point, and every angle is rounded
+ANGLE_ULPS = 8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double on this platform")
+class TestTraceKernelAgainstLongDouble:
+    """The trace's lattice and dense kernels against the per-shot formula in long double.
+
+    Each column must be within rtol 1e-11, or within ANGLE_ULPS ulps of its
+    angles: where a few shots' beats pass close to zero, a rounded angle
+    alone moves a column by more than 1e-11 relative, in the dense kernel too.
+    """
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        sigma_hz=st.floats(1.0, 3e6),
+        gamma=st.floats(1e2, 1e6),
+        pulse_s=st.floats(0.1e-6, 3e-3),
+        detuning_hz=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+        n_points=st.integers(2, 1300),
+        start=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+        stop=st.floats(0.5, 4.0),
+        grid=st.sampled_from(["uniform", "ends-at-pulse", "irregular"]),
+        n_mc=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["mc", "quadrature"]),
+        omega_d=st.floats(0.1, 10.0),
+    )
+    def test_population_within_1e_11_of_oracle(
+        self, sigma_hz, gamma, pulse_s, detuning_hz, n_points, start, stop, grid, n_mc, seed,
+        method, omega_d,
+    ):
+        s = PulseSchedule(2.799e9, pulse_s, omega_d)
+        j = JitterModel("gaussian-quasi-static", sigma_hz, gamma)
+        if grid == "uniform":  # the pulse end on or off the lattice, or past the grid
+            t = np.linspace(start * pulse_s, stop * pulse_s, n_points)
+        elif grid == "ends-at-pulse":  # the pulse end is the last lattice time
+            t = np.append(np.linspace(start * pulse_s, pulse_s, n_points), [2 * pulse_s])
+        else:
+            t = np.geomspace(1e-3 * pulse_s, stop * pulse_s, n_points)
+        u = np.unique(np.minimum(t, pulse_s))
+        in_pulse = np.count_nonzero(u < pulse_s)
+        if grid != "irregular" and in_pulse > 1:  # a lone time is no run
+            assert pulsed._lattice_run(u) >= in_pulse
+        got = mode_population_trace(s, j, t, detuning_hz=detuning_hz, n_mc=n_mc, seed=seed,
+                                    method=method).population
+        want, slope = longdouble_trace(s, j, t, detuning_hz, n_mc, seed, method)
+        eps = np.finfo(float).eps
+        # 1e-300 only absorbs populations below the normal range (t ~ 1e-158 s)
+        tol = 1e-11 * want + ANGLE_ULPS * eps * slope + 1e-300
+        assert np.all(np.abs(got - want) <= tol)
+
+
 class TestRiseTime:
     def test_jittered_rise_band_quadrature(self, device):
         j = dataclasses.replace(device.jitter)
@@ -447,6 +526,28 @@ class TestRiseTime:
         assert tau_rise < 2.0 / GAMMA
         # and faster than the energy decay time
         assert tau_rise < TAU_M
+
+
+    @pytest.mark.parametrize("tau", [2e-5, 2e-6])
+    def test_saturated_trace_fails_the_fit(self, tau):
+        # already flat at the second sample, 1e-4 s in
+        t = np.linspace(0.0, 1e-3, 11)
+        with pytest.raises(FitConvergenceError, match="below the 0.0001 s sample spacing"):
+            fit_rise_time(t, 3.0 * np.expm1(-t / tau) ** 2)
+
+    def test_undriven_trace_fails_the_fit(self):
+        # a zero drive loads nothing, and a zero amplitude leaves tau undetermined
+        t = np.linspace(0.0, 50e-6, 101)
+        trace = mode_population_trace(PulseSchedule(2.799e9, 50e-6, 0.0), gaussian(27e3), t,
+                                      n_mc=100)
+        assert not trace.population.any()
+        with pytest.raises(FitConvergenceError, match="do not depend on rise_time"):
+            fit_rise_time(t, trace.population)
+
+    def test_resolved_rise_is_recovered(self):
+        t = np.linspace(0.0, 1e-3, 11)
+        y = 3.0 * np.expm1(-t / 3e-4) ** 2
+        assert fit_rise_time(t, y) == pytest.approx(3e-4, rel=1e-6)
 
 
 class TestPenalty:
