@@ -358,7 +358,7 @@ def _ensemble_mean(
     With lattice=True, the leading run of distinct u that lies on an even
     lattice (_lattice_run) is summed by _lattice_beat instead, and only the
     rest goes through the dense kernel above.  That path agrees with the dense
-    one to ~1e-12 relative, not bit for bit, so only the trace takes it.
+    one to round-off, not bit for bit, so only the trace takes it.
     """
     a = gamma / 2.0
     u, where = np.unique(np.minimum(t, t_pulse), return_inverse=True)
