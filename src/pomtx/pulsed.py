@@ -356,20 +356,25 @@ def _ensemble_mean(
     memory.
 
     With lattice=True, the leading run of distinct u that lies on an even
-    lattice (_lattice_run) is summed by _lattice_beat instead, and only the
-    rest goes through the dense kernel above.  That path agrees with the dense
-    one to round-off, not bit for bit, so only the trace takes it.
+    lattice (_lattice_run) is summed by _lattice_beat instead.  The rest goes
+    through the dense kernel above, and so does every lattice time whose sum
+    cancels to below _LATTICE_CANCEL of the terms it is formed from, where
+    the expansion's round-off would be too large a share of it.  The lattice
+    path agrees with the dense one to round-off, not bit for bit, so only the
+    trace takes it.
     """
     a = gamma / 2.0
     u, where = np.unique(np.minimum(t, t_pulse), return_inverse=True)
     w = p * omega_d**2 / (a * a + deltas * deltas)
     n_lat = _lattice_run(u) if lattice else 0
     beat = np.empty_like(u)
+    dense = np.ones(u.size, dtype=bool)
     if n_lat:
-        beat[:n_lat] = _lattice_beat(u[:n_lat], deltas, w)
-    if n_lat < u.size:
+        beat[:n_lat], size = _lattice_beat(u[:n_lat], deltas, w)
+        dense[:n_lat] = beat[:n_lat] < _LATTICE_CANCEL * size
+    if dense.any():
         chunk = chunk or max(1, _CHUNK_ELEMENTS // u.size)
-        beat[n_lat:] = _dense_beat(0.5 * u[n_lat:], deltas, w, chunk)
+        beat[dense] = _dense_beat(0.5 * u[dense], deltas, w, chunk)
     rise = np.expm1(-a * u)
     mean_u = (rise * rise * w.sum() + 4.0 * np.exp(-a * u) * beat) / p.sum()
     return mean_u[where.reshape(t.shape)] * np.exp(-gamma * np.maximum(t - t_pulse, 0.0))
@@ -407,6 +412,8 @@ _LATTICE_STRIDE = 16
 _LATTICE_CHUNK = 2048
 # A time within this many ulps of its lattice point is on the lattice
 _LATTICE_ULPS = 4
+# A lattice sum below this share of its terms' size is summed densely instead
+_LATTICE_CANCEL = 1.0 / 16.0
 
 
 def _lattice_run(u) -> int:
@@ -432,7 +439,7 @@ def _lattice_run(u) -> int:
     return n if n > 1 else 0
 
 
-def _lattice_beat(u, deltas, w) -> np.ndarray:
+def _lattice_beat(u, deltas, w) -> tuple[np.ndarray, np.ndarray]:
     """sum_j w_j sin^2(delta_j u_k / 2) on an even lattice u_k = u_0 + k h (see _lattice_run).
 
     Every B-th time (B = _LATTICE_STRIDE) is an anchor: with k = b B + r the
@@ -442,34 +449,44 @@ def _lattice_beat(u, deltas, w) -> np.ndarray:
 
     so the sum over draws is three contractions of (anchors x draws) against
     (residuals x draws) arrays.  The residuals come from one sine and cosine
-    per draw by rotation, so a draw takes 2 K / B + 2 trig calls for K times
-    instead of K.  A lattice time sits within _LATTICE_ULPS ulps of its u_k, so
-    its angle is off by a few ulps, as the dense kernel's rounded angle is.
-    The contractions are einsums over chunks of _LATTICE_CHUNK draws in a
-    fixed order, so seeded results repeat bit for bit whatever the BLAS
-    threading, and no temporary holds more than about _BLOCK_ELEMENTS.
+    per draw by rotation (doubling the rotated block each step), so a draw
+    takes 2 K / B + 2 trig calls for K times instead of K.  A lattice time
+    sits within _LATTICE_ULPS ulps of its u_k, so its angle is off by a few
+    ulps, as the dense kernel's rounded angle is.  The contractions are
+    einsums over chunks of _LATTICE_CHUNK draws in a fixed order, so seeded
+    results repeat bit for bit whatever the BLAS threading, and no temporary
+    holds more than about _BLOCK_ELEMENTS.
+
+    Returns the sums and, per time, the size sum_j w_j (sA^2 cR^2 + cA^2 sR^2)
+    of the terms they cancel from: where the beats of all draws pass close
+    to zero together, the round-off of that size dominates the sum.
     """
     n = u.size
     stride = min(_LATTICE_STRIDE, n)
     half_anchor = 0.5 * u[::stride]
     half_step = 0.5 * (u[-1] - u[0]) / (n - 1)
-    out = np.zeros((half_anchor.size, stride))
+    terms = np.zeros((3, half_anchor.size, stride))
     chunk = max(1, min(_LATTICE_CHUNK, _BLOCK_ELEMENTS // max(half_anchor.size, stride)))
     for lo in range(0, deltas.size, chunk):
         d, wd = deltas[lo : lo + chunk], w[lo : lo + chunk]
         angle = np.multiply.outer(half_anchor, d)
         s_a, c_a = np.sin(angle), np.cos(angle)
-        s1, c1 = np.sin(d * half_step), np.cos(d * half_step)
         s_r, c_r = np.empty((stride, d.size)), np.empty((stride, d.size))
         s_r[0], c_r[0] = 0.0, 1.0
-        for r in range(1, stride):
-            s_r[r] = s_r[r - 1] * c1 + c_r[r - 1] * s1
-            c_r[r] = c_r[r - 1] * c1 - s_r[r - 1] * s1
+        s, c = np.sin(d * half_step), np.cos(d * half_step)  # m steps, m = 1, 2, 4, ...
+        m = 1
+        while m < stride:
+            k = min(m, stride - m)
+            s_r[m : m + k] = s_r[:k] * c + c_r[:k] * s
+            c_r[m : m + k] = c_r[:k] * c - s_r[:k] * s
+            s, c = 2.0 * s * c, (c - s) * (c + s)
+            m += k
         ws, wc = wd * s_a, wd * c_a
-        out += np.einsum("bj,rj->br", ws * s_a, c_r * c_r)
-        out += np.einsum("bj,rj->br", 2.0 * ws * c_a, s_r * c_r)
-        out += np.einsum("bj,rj->br", wc * c_a, s_r * s_r)
-    return out.ravel()[:n]
+        terms[0] += np.einsum("bj,rj->br", ws * s_a, c_r * c_r)
+        terms[1] += np.einsum("bj,rj->br", 2.0 * ws * c_a, s_r * c_r)
+        terms[2] += np.einsum("bj,rj->br", wc * c_a, s_r * s_r)
+    size = terms[0] + terms[2]
+    return (size + terms[1]).ravel()[:n], size.ravel()[:n]
 
 
 # Elements per temporary of the readout kernel: a few of them stay in cache

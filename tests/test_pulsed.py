@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pomtx.pulsed as pulsed
@@ -468,6 +468,10 @@ class TestTraceKernelAgainstLongDouble:
     alone moves a column by more than 1e-11 relative, in the dense kernel too.
     """
 
+    # every draw's beat is zero at t = 24 us, a time between two anchors,
+    # where the lattice sum cancels almost exactly
+    @example(sigma_hz=1.0, gamma=100.0, pulse_s=2e-3, detuning_hz=1 / 24e-6, n_points=1001,
+             start=0.0, stop=0.5, grid="uniform", n_mc=1, seed=0, method="mc", omega_d=1.0)
     @settings(deadline=None, max_examples=200, derandomize=True)
     @given(
         sigma_hz=st.floats(1.0, 3e6),
