@@ -531,7 +531,6 @@ class TestRiseTime:
         # and faster than the energy decay time
         assert tau_rise < TAU_M
 
-
     @pytest.mark.parametrize("tau", [2e-5, 2e-6])
     def test_saturated_trace_fails_the_fit(self, tau):
         # already flat at the second sample, 1e-4 s in
@@ -547,11 +546,6 @@ class TestRiseTime:
         assert not trace.population.any()
         with pytest.raises(FitConvergenceError, match="do not depend on rise_time"):
             fit_rise_time(t, trace.population)
-
-    def test_resolved_rise_is_recovered(self):
-        t = np.linspace(0.0, 1e-3, 11)
-        y = 3.0 * np.expm1(-t / 3e-4) ** 2
-        assert fit_rise_time(t, y) == pytest.approx(3e-4, rel=1e-6)
 
 
 class TestPenalty:
