@@ -12,7 +12,6 @@ from .em_circuit import (
     electrical_s11,
     electromechanical_efficiency,
     input_impedance,
-    keff_from_admittance,
     kinetic_inductance_at,
     match_design,
     matched_load,
@@ -60,21 +59,18 @@ from .optomech import (
 )
 from .piezo import PiezoTensor, out_of_plane_coupling, rotated_piezo_tensor
 from .pulsed import (
-    CountModel,
     EfficiencyBudget,
     JitterModel,
     OperatingPoint,
     PulseSchedule,
     anchor_loading_window,
     calibrate_jitter,
-    click_rate,
     conversion_spectrum,
     efficiency_budget,
     fit_decay_rate,
     fit_rise_time,
     loading_efficiency_penalty,
     mode_population_trace,
-    per_pump_photon_efficiency,
     thermal_vs_pulse_energy,
 )
 from .device import DeviceModel, Losses, load_config, paper_device_path

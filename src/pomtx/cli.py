@@ -184,6 +184,11 @@ def _pulsed_setup(args, rep, default_pulse_s: str):
     return mode, jm, sched
 
 
+def _mc_error(penalty: pulsed.PenaltyResult) -> float | None:
+    """The penalty's Monte Carlo error, or None where it took no random draws."""
+    return penalty.mc_error if penalty.method == "mc" else None
+
+
 def cmd_pulse_trace(args, rep, csv):
     mode, jm, sched = _pulsed_setup(args, rep, "trace_duration_s")
     pulse_s = sched.mw_duration_s
@@ -207,13 +212,13 @@ def cmd_pulse_trace(args, rep, csv):
         jm, pulse_s, n_mc=args.n_mc, seed=args.seed, method=args.method
     )
     results["penalty_at_this_pulse"] = at_pulse.value
-    results["penalty_at_this_pulse_mc_error"] = at_pulse.mc_error
+    results["penalty_at_this_pulse_mc_error"] = _mc_error(at_pulse)
     if jm.loading_window_s is not None:
         anchored = pulsed.loading_efficiency_penalty(
             jm, n_mc=args.n_mc, seed=args.seed, method=args.method
         )
         results["penalty_at_anchor_window"] = anchored.value
-        results["penalty_mc_error"] = anchored.mc_error
+        results["penalty_mc_error"] = _mc_error(anchored)
         results["anchor_window_s"] = jm.loading_window_s
     rep["results"] = results
     return [(csv, ["time_s", "population"], [trace.t_s, trace.population])], f"wrote {csv}"

@@ -46,7 +46,6 @@ __all__ = [
     "match_design",
     "kinetic_inductance_at",
     "resonance_vs_temperature",
-    "keff_from_admittance",
 ]
 
 
@@ -319,14 +318,3 @@ def resonance_vs_temperature(k: KineticInductanceModel, c_match: float, t_grid):
     f = 1.0 / (2.0 * np.pi * np.sqrt(l_tot * c_match))
     return list(zip(t_grid.tolist(), np.atleast_1d(f).tolist()))
 
-
-def keff_from_admittance(f_s: float, f_p: float) -> float:
-    """Coupling coefficient from series/parallel admittance resonances.
-
-    k_eff^2 = (f_p^2 - f_s^2) / f_p^2, in [0, 1).
-    """
-    _finite_positive(f_s, "f_s")
-    _finite_positive(f_p, "f_p")
-    if f_s > f_p:
-        raise ParameterError(f"series resonance f_s={f_s} must not exceed parallel f_p={f_p}")
-    return (f_p**2 - f_s**2) / f_p**2

@@ -16,17 +16,19 @@ the t^2 rise at the start of the pulse.
 Every ensemble is one weighted mean over jitter offsets x_j with weights
 p_j, sum_j p_j f(x_j) / sum_j p_j.  The two methods differ only in where
 (x_j, p_j) come from (see _ensemble): seeded Monte Carlo draws with unit
-weights (the default; matches the counting experiment) or deterministic
-Gauss-Hermite nodes and weights (used for calibration, where bisection
-needs a noise-free objective).  The mean over time separates: each offset
-contributes a weight p_j Omega^2 / (gamma^2/4 + delta_j^2) times a beat
-term sin^2(delta_j u / 2) at the in-pulse time u = min(t, T), and every
-post-pulse point is the mean at the pulse end times e^{-gamma (t - T)}.
-The ensemble is therefore evaluated only at the distinct in-pulse times.
-On a trace those times are usually an even lattice (a linspace grid), and
-the beat is summed there by angle addition from every 16th time, so a
-draw takes a few trig calls per 16 times instead of one per time (see
-_lattice_beat); every other ensemble keeps one sine per draw and time.
+weights (the default; matches the counting experiment) or the nodes and
+weights of a trapezoid rule for the Gaussian, sized from the longest
+in-pulse time evaluated so that it is exact to round-off (used for
+calibration, where bisection needs a noise-free objective).  The mean over
+time separates: each offset contributes a weight p_j Omega^2 /
+(gamma^2/4 + delta_j^2) times a beat term sin^2(delta_j u / 2) at the
+in-pulse time u = min(t, T), and every post-pulse point is the mean at
+the pulse end times e^{-gamma (t - T)}.  The ensemble is therefore
+evaluated only at the distinct in-pulse times.  On a trace those times
+are usually an even lattice (a linspace grid), and the beat is summed
+there by angle addition from every 16th time, so a draw takes a few trig
+calls per 16 times instead of one per time (see _lattice_beat); every
+other ensemble keeps one sine per draw and time.
 The conversion spectrum, one readout instant over many drive offsets f_i,
 does not go through _single_shot: its beat sin(pi (f_i - x_j) tin)
 separates into trig functions of f_i and of x_j (see _readout_mean), so
@@ -48,19 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import CalibrationError, FitConvergenceError, ParameterError, TableRangeError
-from .optomech import (
-    DriveTone,
-    continuous_efficiency_shape,
-    mechanics_to_optics_efficiency,
-    swap_probability,
-)
+from .optomech import DriveTone, mechanics_to_optics_efficiency, swap_probability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import DeviceModel
@@ -68,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "PulseSchedule",
     "JitterModel",
-    "CountModel",
     "BudgetStage",
     "EfficiencyBudget",
     "OperatingPoint",
@@ -81,13 +75,9 @@ __all__ = [
     "loading_efficiency_penalty",
     "fit_decay_rate",
     "fit_rise_time",
-    "click_rate",
     "efficiency_budget",
-    "per_pump_photon_efficiency",
     "thermal_vs_pulse_energy",
 ]
-
-_GH_ORDER = 201
 
 
 @dataclass(frozen=True)
@@ -175,23 +165,6 @@ class JitterModel:
     @property
     def is_calibrated(self) -> bool:
         return self.is_quiet or self.line_fwhm_hz is not None
-
-
-@dataclass(frozen=True)
-class CountModel:
-    """Detection chain: path/filter/detector efficiency, dark rate, cycle rate."""
-
-    eta_chain: float
-    dark_rate: float = 0.0
-    pulse_rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eta_chain <= 1.0):
-            raise ParameterError("eta_chain must lie in (0, 1]")
-        if self.dark_rate < 0:
-            raise ParameterError("dark_rate must be >= 0")
-        if self.pulse_rate <= 0:
-            raise ParameterError("pulse_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -286,25 +259,29 @@ _CHUNK_ELEMENTS = 2_000_000
 _BLOCK_ELEMENTS = 1 << 18
 
 
-@cache
-def _unit_gaussian_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights of N(0, 1), computed once.
-
-    hermegauss solves a _GH_ORDER x _GH_ORDER eigenproblem, which costs several
-    times a whole quadrature spectrum, and calibration evaluates dozens of those.
-    """
-    nodes, weights = hermegauss(_GH_ORDER)
-    weights = weights / np.sqrt(2.0 * np.pi)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+# Half-width of the quadrature rule and its margin past the beat's reach,
+# both in standard deviations, and the most nodes it may take
+_RULE_SPAN = 9.0
+_RULE_MAX_NODES = 4096
 
 
-def _ensemble(j: JitterModel, method: str, n_mc: int, seed):
+def _ensemble(j: JitterModel, method: str, n_mc: int, seed, u_max: float):
     """Jitter offsets x_j (Hz) and weights p_j of the ensemble mean.
 
-    method="mc" draws n_mc seeded offsets with unit weights; method="quadrature"
-    takes the _GH_ORDER Gauss-Hermite nodes and weights of the unit Gaussian,
-    scaled to sigma_hz.  This is the one place that reads method.
+    method="mc" draws n_mc seeded offsets with unit weights.  This is the one
+    place that reads method.  method="quadrature" takes the trapezoid rule
+    of N(0, sigma^2), sized for in-pulse times up to u_max: nodes z_k = k h
+    standard deviations out to +-_RULE_SPAN, weights h e^{-z_k^2/2} / sqrt(2 pi).
+    A shot is an entire function of the offset (the poles of 1 / (a^2 + delta^2)
+    cancel against its numerator) whose beat oscillates at up to
+    s = 2 pi sigma u radians per standard deviation, and the rule of spacing
+    h aliases that content at 2 pi / h.  With h = 2 pi / (s + _RULE_SPAN) the
+    Gaussian-broadened content left there is below e^{-40} (Trefethen and
+    Weideman, SIAM Rev. 56 (2014) 385).  Past u = 80 / gamma, e^{-gamma u / 2}
+    < e^{-40} and the shot is the Lorentzian 1 / (a^2 + delta^2) to that
+    share, whose poles +-i a keep the aliasing below e^{-a s / (2 pi sigma)}
+    = e^{-40} too, so s stops growing there.  A rule of more than
+    _RULE_MAX_NODES nodes is refused rather than truncated.
     """
     if method == "mc":
         if n_mc < 1:
@@ -313,8 +290,16 @@ def _ensemble(j: JitterModel, method: str, n_mc: int, seed):
             raise ParameterError(f"seed must be a non-negative integer, got {seed}")
         return np.random.default_rng(seed).normal(0.0, j.sigma_hz, n_mc), np.ones(n_mc)
     if method == "quadrature":
-        nodes, weights = _unit_gaussian_rule()
-        return j.sigma_hz * nodes, weights
+        s = 2.0 * np.pi * j.sigma_hz * min(u_max, 80.0 / j.intrinsic_gamma)
+        h = 2.0 * np.pi / (s + _RULE_SPAN)
+        k = math.ceil(_RULE_SPAN / h)
+        if 2 * k + 1 > _RULE_MAX_NODES:
+            raise ParameterError(
+                f"quadrature at sigma = {j.sigma_hz:.0f} Hz over {u_max * 1e6:.4g} us needs "
+                f"{2 * k + 1} nodes, more than {_RULE_MAX_NODES}; use --method mc"
+            )
+        z = h * np.arange(-k, k + 1)
+        return j.sigma_hz * z, h / math.sqrt(2.0 * np.pi) * np.exp(-0.5 * z * z)
     raise ParameterError(f"unknown method {method!r}")
 
 
@@ -615,8 +600,9 @@ def mode_population_trace(
 
     detuning_hz is the nominal drive-minus-mode offset; each realization adds
     one quasi-static jitter draw on top.  method="mc" averages n_mc seeded
-    draws; method="quadrature" integrates the Gaussian with Gauss-Hermite
-    nodes.  Both are deterministic, and a seeded trace repeats bit for bit.
+    draws; method="quadrature" integrates the Gaussian with the trapezoid
+    rule of _ensemble, sized for the longest in-pulse time on the grid.  Both
+    are deterministic, and a seeded trace repeats bit for bit.
     The leading evenly spaced run of in-pulse times is summed by the lattice
     kernel (_lattice_beat) and any other time by the dense one; both agree
     with a long-double evaluation of the per-shot formula to 1e-11 relative,
@@ -625,12 +611,12 @@ def mode_population_trace(
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ParameterError("t_grid must not be empty")
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ParameterError("t_grid times must be >= 0")
     if not np.isfinite(detuning_hz):
         raise ParameterError(f"detuning_hz must be finite, got {detuning_hz!r}")
-    x, p = _ensemble(j, method, n_mc, seed)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
+    x, p = _ensemble(j, method, n_mc, seed, min(t.max(), tp))
 
     if j.is_quiet:
         pop = _single_shot(t, 2 * np.pi * detuning_hz, gamma, om, tp)
@@ -666,9 +652,9 @@ def conversion_spectrum(
         raise ParameterError("freq_grid must not be empty")
     if not np.all(np.isfinite(f)):
         raise ParameterError("freq_grid must be finite")
-    x, p = _ensemble(j, method, n_mc, seed)
     gamma, om, tp = j.intrinsic_gamma, s.mw_drive_rate, s.mw_duration_s
     t_read = s.readout_at
+    x, p = _ensemble(j, method, n_mc, seed, min(t_read, tp))
 
     offsets = f - mode_freq_hz
     if j.is_quiet:
@@ -691,10 +677,9 @@ def calibrate_jitter(
     The objective is the Lorentzian-fit width of the quadrature ensemble
     spectrum on the given schedule (the same estimator applied to the
     measured line), evaluated on a fixed +-span_hz grid.  Deterministic.
-    sigma is bracketed on [1 Hz, target / 2]: the fitted width rises with
-    sigma only up to sigma ~ 160 kHz (on the default grid) and collapses
-    beyond it, and sigma = target / 2 gives a width above the target for
-    targets from 30 to 400 kHz.
+    sigma is bracketed on [1 Hz, target / 2]: on the default grid, sigma =
+    target / 2 gives a width above the target for targets from 28 kHz to
+    4 MHz.
     """
     from ._solvers import brent_root
     from .extraction import lorentzian_fit
@@ -735,7 +720,10 @@ def anchor_loading_window(
 
     The quasi-static model's penalty grows monotonically with pulse length,
     so a target reduction maps to a unique window; the result is stored on
-    the model as loading_window_s.
+    the model as loading_window_s.  The root is bracketed by doubling the
+    window from bracket[0], up to bracket[1], until the penalty reaches the
+    target, so a long window (whose quadrature rule takes more nodes) is
+    evaluated only when the target needs it.
     """
     from ._solvers import brent_root
 
@@ -745,25 +733,28 @@ def anchor_loading_window(
         raise CalibrationError("calibrate sigma against the measured linewidth first")
     if penalty_target <= 1.0:
         raise ParameterError("penalty_target must exceed 1")
-    lo, hi = bracket
+    shortest, longest = bracket
 
     def excess_penalty(tp: float) -> float:
         return loading_efficiency_penalty(j, tp, method="quadrature").value - penalty_target
 
-    f_hi = excess_penalty(hi)
-    if f_hi < 0:
-        raise CalibrationError(
-            f"penalty target {penalty_target} unreachable: even a {hi*1e6:.0f} us "
-            f"loading window only reaches {f_hi + penalty_target:.2f} at sigma = "
-            f"{j.sigma_hz:.0f} Hz"
-        )
-    f_lo = excess_penalty(lo)
+    lo = hi = shortest
+    f_lo = f_hi = excess_penalty(lo)
     if f_lo > 0:
         raise CalibrationError(
             f"penalty target {penalty_target} too low: a {lo*1e6:.0f} us loading window "
-            f"already reaches {f_lo + penalty_target:.2f}, and {hi*1e6:.0f} us reaches "
-            f"{f_hi + penalty_target:.2f} at sigma = {j.sigma_hz:.0f} Hz"
+            f"already reaches {f_lo + penalty_target:.2f} at sigma = {j.sigma_hz:.0f} Hz"
         )
+    while f_hi < 0:
+        if hi >= longest:
+            raise CalibrationError(
+                f"penalty target {penalty_target} unreachable: even a {hi*1e6:.0f} us "
+                f"loading window only reaches {f_hi + penalty_target:.2f} at sigma = "
+                f"{j.sigma_hz:.0f} Hz"
+            )
+        lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, longest)
+        f_hi = excess_penalty(hi)
     window = brent_root(excess_penalty, lo, hi, f_lo, f_hi, xtol=1e-9)
     return replace(j, loading_window_s=float(window))
 
@@ -811,11 +802,11 @@ def loading_efficiency_penalty(
                     "or pass an explicit pulse_s"
                 )
             pulse_s = j.loading_window_s
-    if pulse_s <= 0:
-        raise ParameterError("pulse_s must be > 0")
+    if not (np.isfinite(pulse_s) and pulse_s > 0):
+        raise ParameterError(f"pulse_s must be finite and > 0, got {pulse_s!r}")
     if t_points < 2:
         raise ParameterError(f"t_points must be >= 2, got {t_points}")
-    x, p = _ensemble(j, method, n_mc, seed)
+    x, p = _ensemble(j, method, n_mc, seed, pulse_s)
     if method == "mc" and n_mc < 2:
         raise ParameterError(f"n_mc must be >= 2 for a Monte Carlo error, got {n_mc}")
 
@@ -888,13 +879,6 @@ def fit_rise_time(t, population) -> float:
     return tau
 
 
-def click_rate(population: float, p_sw: float, c: CountModel) -> float:
-    """Detected rate: pulse_rate * population * p_sw * eta_chain + dark_rate."""
-    if population < 0:
-        raise ParameterError("population must be >= 0")
-    return c.pulse_rate * population * p_sw * c.eta_chain + c.dark_rate
-
-
 def efficiency_budget(device: "DeviceModel", op: OperatingPoint) -> EfficiencyBudget:
     """Stage-by-stage conversion efficiency at an operating point.
 
@@ -960,18 +944,6 @@ def efficiency_budget(device: "DeviceModel", op: OperatingPoint) -> EfficiencyBu
         )
     )
     return EfficiencyBudget(stages=tuple(stages))
-
-
-def per_pump_photon_efficiency(c0: float, eta_electrical: float, eta_o: float) -> float:
-    """Total conversion efficiency per intracavity pump photon.
-
-    Evaluates the continuous-conversion shape at n_c = 1 (cooperativity C0,
-    linear regime for C0 << 1) times the optical outcoupling and the
-    electrical-to-mechanical stage.
-    """
-    if c0 < 0:
-        raise ParameterError("c0 must be >= 0")
-    return 4.0 * continuous_efficiency_shape(c0) * eta_o * eta_electrical
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:

@@ -168,6 +168,9 @@ class TestSpectraCommands:
         assert 10e-6 < rep["results"]["rise_time_s"] < 25e-6
         assert rep["results"]["decay_rate_per_s"] == pytest.approx(1 / 61.4e-6, rel=0.02)
         assert 4.0 <= rep["results"]["penalty_at_anchor_window"] <= 10.0
+        # a deterministic penalty has no Monte Carlo error to report
+        assert rep["results"]["penalty_at_this_pulse_mc_error"] is None
+        assert rep["results"]["penalty_mc_error"] is None
 
     def test_pulse_trace_sigma_override_marks_provenance(self, tmp_path):
         rc = main([
@@ -271,6 +274,16 @@ class TestInvalidPulsedInputs:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("pomtx: fit error:") and "rise_time" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadrature_past_the_node_ceiling_exits_3(self, capsys, tmp_path):
+        # 100 kHz of jitter over a 5 ms pulse would take about 8900 nodes
+        argv = ["pulse-trace", "--method", "quadrature", "--sigma-hz", "1e5", "--pulse-us",
+                "5000", "--points", "101", "--out", "q.json", "--csv", "q.csv"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pomtx: validation error:") and "use --method mc" in err
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["pulse-trace", "spectrum"])
@@ -531,5 +544,17 @@ def test_cold_start_loads_no_scipy_solvers_or_constants(tmp_path, fit_inputs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    """The quadrature rule needs no polynomial module: importing pomtx loads none."""
+    probe = ("import sys, pomtx, pomtx.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -13,7 +13,6 @@ from pomtx.em_circuit import (
     electrical_s11,
     electromechanical_efficiency,
     input_impedance,
-    keff_from_admittance,
     kinetic_inductance_at,
     match_design,
     matched_load,
@@ -281,24 +280,6 @@ class TestKineticInductance:
         # oracle: direct 1/sqrt(LC) on the independently computed inductance
         l = np.asarray(kinetic_inductance_at(self.MODEL, t))
         np.testing.assert_allclose(f, 1 / (TWO_PI * np.sqrt(l * 17.33e-15)), rtol=1e-12)
-
-
-class TestKeffFromAdmittance:
-    def test_degenerate_resonances(self):
-        assert keff_from_admittance(2.8e9, 2.8e9) == 0.0
-
-    def test_round_trip_paper_value(self):
-        k2 = 1.59e-6
-        f_s = 2.8e9
-        f_p = f_s / np.sqrt(1 - k2)
-        assert keff_from_admittance(f_s, f_p) == pytest.approx(k2, rel=1e-12)
-
-    def test_simple_ratio(self):
-        assert keff_from_admittance(3.0, 5.0) == pytest.approx(0.64, rel=1e-12)
-
-    def test_ordering_error(self):
-        with pytest.raises(ParameterError):
-            keff_from_admittance(5.0, 3.0)
 
 
 def test_si_constants_equal_scipy_bit_for_bit():

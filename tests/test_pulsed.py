@@ -13,21 +13,18 @@ from pomtx.extraction import lorentzian_fit
 from pomtx.optomech import DriveTone, swap_probability
 from pomtx.pulsed import (
     BudgetStage,
-    CountModel,
     EfficiencyBudget,
     JitterModel,
     OperatingPoint,
     PulseSchedule,
     anchor_loading_window,
     calibrate_jitter,
-    click_rate,
     conversion_spectrum,
     efficiency_budget,
     fit_decay_rate,
     fit_rise_time,
     loading_efficiency_penalty,
     mode_population_trace,
-    per_pump_photon_efficiency,
     thermal_vs_pulse_energy,
 )
 from pomtx.pulsed import _ensemble, _ensemble_mean, _in_pulse_peak, _isotonic, _single_shot
@@ -56,6 +53,17 @@ def oracle_gauss_average(fn, sigma_hz, order=301):
         val = w * fn(TWO_PI * sigma_hz * x)
         acc = val if acc is None else acc + val
     return acc
+
+
+def quadrature_nodes(j, u_max):
+    """Node count of the quadrature rule for in-pulse times up to u_max, from its sizing:
+    spacing 2 pi / (2 pi sigma min(u_max, 80 / gamma) + 9) out to +-9 standard deviations."""
+    reach = TWO_PI * j.sigma_hz * min(u_max, 80.0 / j.intrinsic_gamma)
+    return 2 * math.ceil(9.0 * (reach + 9.0) / TWO_PI) + 1
+
+
+def past_node_ceiling(j, method, u_max):
+    return method == "quadrature" and quadrature_nodes(j, u_max) > pulsed._RULE_MAX_NODES
 
 
 def sched(pulse_s, freq_hz=2.799e9):
@@ -132,7 +140,7 @@ class TestRealKernel:
     )
     def test_column_blocks_keep_the_ensemble_bits(self, n_t, n_mc, chunk, block, seed):
         # the draw chunks fix the summation order; the column blocks must not
-        x, p = _ensemble(gaussian(27e3), "mc", n_mc, seed)
+        x, p = _ensemble(gaussian(27e3), "mc", n_mc, seed, 50e-6)
         t = np.linspace(0.0, 60e-6, n_t)
         whole = _ensemble_mean(t, TWO_PI * x, p, GAMMA, 1.0, 50e-6, chunk)
         with mock.patch.object(pulsed, "_BLOCK_ELEMENTS", block):
@@ -233,6 +241,15 @@ class TestInvalidSizes:
             conversion_spectrum(sched(26e-6), j, [2.799e9, value], 2.799e9,
                                 method="quadrature")
 
+    @pytest.mark.parametrize("method", ["mc", "quadrature"])
+    def test_nan_time_and_pulse_rejected(self, method):
+        # the quadrature rule is sized from the longest time, which NaN leaves undefined
+        j = gaussian(27e3)
+        with pytest.raises(ParameterError, match="t_grid times must be >= 0"):
+            mode_population_trace(sched(26e-6), j, [1e-6, np.nan], n_mc=10, method=method)
+        with pytest.raises(ParameterError, match="pulse_s must be finite"):
+            loading_efficiency_penalty(j, np.nan, n_mc=10, method=method)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["mw_drive_rate", "readout_delay_s"])
     def test_non_finite_schedule_fields_rejected(self, field, value):
@@ -311,10 +328,9 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_jitter(1e3, sched(26e-6), GAMMA)  # pulse limit ~27 kHz > 1 kHz
 
-    @pytest.mark.parametrize("target", [80e3, 120e3])
+    @pytest.mark.parametrize("target", [80e3, 120e3, 600e3])
     def test_broad_targets_calibrate(self, target):
-        # above ~70 kHz the old bracket end 3 x target sat past the width's
-        # maximum (~160 kHz of sigma), where the fitted width collapses
+        # the bracket [1 Hz, target / 2] holds well past the measured 67 kHz
         j = calibrate_jitter(target, sched(26e-6), GAMMA)
         spec = conversion_spectrum(
             sched(26e-6), j, np.linspace(-250e3, 250e3, 201), 0.0, method="quadrature"
@@ -322,10 +338,13 @@ class TestCalibration:
         assert lorentzian_fit(spec[:, 0], spec[:, 1]).params["fwhm"] == pytest.approx(
             target, rel=1e-3)
 
-    def test_non_bracketing_target_is_a_calibration_error(self):
-        # sigma = 300 kHz is past the width's maximum: the fit there gives ~14 kHz
-        with pytest.raises(CalibrationError, match="14[0-9]{3} Hz at sigma = 300000 Hz"):
-            calibrate_jitter(600e3, sched(26e-6), GAMMA)
+    def test_non_bracketing_target_is_a_calibration_error(self, monkeypatch):
+        # a line that does not widen with sigma: both bracket ends stay below the target
+        spectrum = pulsed.conversion_spectrum
+        monkeypatch.setattr(pulsed, "conversion_spectrum",
+                            lambda s, j, *args, **kw: spectrum(s, gaussian(10e3), *args, **kw))
+        with pytest.raises(CalibrationError, match="Hz at sigma = 33500 Hz; neither end"):
+            calibrate_jitter(67e3, sched(26e-6), GAMMA)
 
     @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
     def test_target_must_be_finite_and_positive(self, target):
@@ -377,7 +396,7 @@ class TestConversionSpectrum:
 
 def longdouble_counts(s, j, grid, mode_freq_hz, n_mc, seed, method):
     """conversion_spectrum's counts from _single_shot's formula, shot by shot in long double."""
-    x, p = _ensemble(j, method, n_mc, seed)
+    x, p = _ensemble(j, method, n_mc, seed, min(s.readout_at, s.mw_duration_s))
     ld = np.longdouble
     offsets = np.asarray(grid, dtype=float) - mode_freq_hz
     d = 2 * ld(np.pi) * np.subtract.outer(offsets.astype(ld), x.astype(ld))
@@ -420,7 +439,11 @@ class TestReadoutKernelAgainstLongDouble:
         s = PulseSchedule(2.799e9, pulse_s, omega_d,
                           None if readout is None else readout * pulse_s)
         j = JitterModel("gaussian-quasi-static", sigma_hz, gamma)
-        x, _ = _ensemble(j, method, n_mc, seed)
+        if past_node_ceiling(j, method, min(s.readout_at, pulse_s)):
+            with pytest.raises(ParameterError, match="use --method mc"):
+                conversion_spectrum(s, j, [0.0], 0.0, method=method)
+            return
+        x, _ = _ensemble(j, method, n_mc, seed, min(s.readout_at, pulse_s))
         # grid points close to draws, where two large angles nearly cancel
         grid = np.concatenate([np.linspace(-span_hz, span_hz, n_points), x[:3] + near_hz])
         counts = conversion_spectrum(s, j, grid, 0.0, n_mc=n_mc, seed=seed, method=method)
@@ -436,21 +459,27 @@ def longdouble_trace(s, j, t, detuning_hz, n_mc, seed, method):
     theta = delta u / 2: the population's sensitivity to a relative error in
     the angles, which every double-precision kernel rounds.
     """
-    x, p = _ensemble(j, method, n_mc, seed)
+    x, p = _ensemble(j, method, n_mc, seed, min(t.max(), s.mw_duration_s))
     ld = np.longdouble
     d = 2 * ld(np.pi) * (ld(detuning_hz) + x.astype(ld))[:, None]
     gamma = ld(j.intrinsic_gamma)
     a = gamma / 2
     t_ld, t_pulse = t.astype(ld), ld(s.mw_duration_s)
-    tin = np.minimum(t_ld, t_pulse)
-    theta = d * tin / 2
-    beat = np.sin(theta)
-    shots = (np.expm1(-a * tin) ** 2 + 4 * np.exp(-a * tin) * beat * beat) / (a * a + d * d)
-    slope = 4 * np.exp(-a * tin) * np.abs(theta * np.sin(2 * theta)) / (a * a + d * d)
+    # a shot depends on t only through tin = min(t, T) before the decay factor
+    u, where = np.unique(np.minimum(t_ld, t_pulse), return_inverse=True)
     weights = p.astype(ld)[:, None] / p.astype(ld).sum()
+    mean, sens = np.empty((2, u.size), dtype=ld)
+    cols = max(1, (1 << 18) // x.size)  # columns per block, to bound the temporaries
+    for c in range(0, u.size, cols):
+        tin = u[c : c + cols]
+        theta = d * tin / 2
+        beat = np.sin(theta)
+        shots = (np.expm1(-a * tin) ** 2 + 4 * np.exp(-a * tin) * beat * beat) / (a * a + d * d)
+        slope = 4 * np.exp(-a * tin) * np.abs(theta * np.sin(2 * theta)) / (a * a + d * d)
+        mean[c : c + cols] = (shots * weights).sum(axis=0)
+        sens[c : c + cols] = (slope * weights).sum(axis=0)
     scale = ld(s.mw_drive_rate) ** 2 * np.exp(-gamma * np.maximum(t_ld - t_pulse, ld(0)))
-    return ((shots * weights).sum(axis=0) * scale).astype(float), \
-        ((slope * weights).sum(axis=0) * scale).astype(float)
+    return (mean[where] * scale).astype(float), (sens[where] * scale).astype(float)
 
 
 # Angle error allowed on top of rtol, in ulps: a lattice time lies within
@@ -503,6 +532,10 @@ class TestTraceKernelAgainstLongDouble:
         in_pulse = np.count_nonzero(u < pulse_s)
         if grid != "irregular" and in_pulse > 1:  # a lone time is no run
             assert pulsed._lattice_run(u) >= in_pulse
+        if past_node_ceiling(j, method, u[-1]):
+            with pytest.raises(ParameterError, match="use --method mc"):
+                mode_population_trace(s, j, t, detuning_hz=detuning_hz, method=method)
+            return
         got = mode_population_trace(s, j, t, detuning_hz=detuning_hz, n_mc=n_mc, seed=seed,
                                     method=method).population
         want, slope = longdouble_trace(s, j, t, detuning_hz, n_mc, seed, method)
@@ -611,9 +644,60 @@ class TestPenalty:
         assert loading_efficiency_penalty(j, 26e-6).value > 1.0
 
 
+def exact_means(u, mu, sigma_hz, gamma):
+    """Gaussian ensemble mean of a unit-drive shot at in-pulse times u, by scipy's quad_vec.
+
+    A shot is |int_0^u e^{-(a + i delta) s} ds|^2 with a = gamma / 2.  Its mean
+    over delta ~ N(mu, (2 pi sigma)^2) takes e^{i delta tau} to the Gaussian's
+    characteristic function, which leaves the one-dimensional integral
+
+        (1 / a) int_0^u (e^{-a tau} - e^{-a (2 u - tau)}) cos(mu tau) g(tau) dtau
+
+    with g(tau) = e^{-(2 pi sigma tau)^2 / 2}, cut where g has fallen to e^{-72}.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    u = np.asarray(u, dtype=float)
+    a, rate = gamma / 2.0, TWO_PI * sigma_hz
+    top = np.minimum(u, 12.0 / rate)
+
+    def integrand(v):
+        tau = v * top
+        return (top * (np.exp(-a * tau) - np.exp(-a * (2.0 * u - tau))) * np.cos(mu * tau)
+                * np.exp(-0.5 * (rate * tau) ** 2) / a)
+
+    return integrate.quad_vec(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-14, norm="max")[0]
+
+
+class TestLongPulseQuadrature:
+    """The quadrature rule past the reach of a fixed 201-node rule (sigma_omega u > 21)."""
+
+    @pytest.mark.parametrize("pulse_s", [200e-6, 2e-3], ids=["200us", "2ms"])
+    def test_penalty_matches_exact_mean(self, device, pulse_s):
+        j = device.jitter
+        t = np.linspace(0.0, pulse_s, 2001)
+        quiet_peak = _single_shot(t, 0.0, j.intrinsic_gamma, 1.0, pulse_s).max()
+        want = quiet_peak / exact_means(t, 0.0, j.sigma_hz, j.intrinsic_gamma).max()
+        got = loading_efficiency_penalty(j, pulse_s, method="quadrature").value
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_trace_column_matches_exact_mean(self, device):
+        j, detuning_hz = device.jitter, 15e3
+        t = np.linspace(0.0, 300e-6, 301)
+        trace = mode_population_trace(sched(300e-6), j, t, detuning_hz=detuning_hz,
+                                      method="quadrature")
+        want = exact_means(300e-6, TWO_PI * detuning_hz, j.sigma_hz, j.intrinsic_gamma)
+        assert trace.population[-1] == pytest.approx(float(want), rel=1e-12)
+
+    def test_anchor_reaches_a_long_window_target(self, device):
+        j = anchor_loading_window(device.jitter, 12.0)
+        assert 150e-6 < j.loading_window_s < 300e-6
+        p = loading_efficiency_penalty(j, n_mc=100_000)
+        assert abs(p.value - 12.0) < 3 * p.mc_error
+
+
 def dense_penalty(j, pulse_s, n_mc, seed, method, t_points=2001):
     """Peak index, value and mc_error from the mean on every grid column."""
-    x, p = _ensemble(j, method, n_mc, seed)
+    x, p = _ensemble(j, method, n_mc, seed, pulse_s)
     deltas = TWO_PI * x
     t = np.linspace(0.0, pulse_s, t_points)
     mean = _ensemble_mean(t, deltas, p, j.intrinsic_gamma, 1.0, pulse_s)
@@ -626,7 +710,7 @@ def dense_penalty(j, pulse_s, n_mc, seed, method, t_points=2001):
 
 
 def searched_index(j, pulse_s, n_mc, seed, method, t_points=2001):
-    x, p = _ensemble(j, method, n_mc, seed)
+    x, p = _ensemble(j, method, n_mc, seed, pulse_s)
     t = np.linspace(0.0, pulse_s, t_points)
     return _in_pulse_peak(t, TWO_PI * x, p, j.intrinsic_gamma)[0]
 
@@ -648,6 +732,10 @@ class TestPeakSearch:
         self, sigma_hz, tau_s, pulse_s, seed, n_mc, method, t_points
     ):
         j = JitterModel("gaussian-quasi-static", sigma_hz, 1.0 / tau_s)
+        if past_node_ceiling(j, method, pulse_s):
+            with pytest.raises(ParameterError, match="use --method mc"):
+                loading_efficiency_penalty(j, pulse_s, method=method, t_points=t_points)
+            return
         i, value, mc_error = dense_penalty(j, pulse_s, n_mc, seed, method, t_points)
         got = loading_efficiency_penalty(j, pulse_s, n_mc=n_mc, seed=seed, method=method,
                                          t_points=t_points)
@@ -677,7 +765,7 @@ class TestPeakSearch:
     def test_every_evaluated_column_carries_the_dense_bits(self, device, monkeypatch):
         # past saturation the finer levels evaluate hundreds of columns, each
         # with the dense grid's offset chunks
-        x, p = _ensemble(device.jitter, "mc", 10_000, 12345)
+        x, p = _ensemble(device.jitter, "mc", 10_000, 12345, 2e-3)
         deltas, gamma = TWO_PI * x, device.jitter.intrinsic_gamma
         t = np.linspace(0.0, 2e-3, 2001)
         dense = _ensemble_mean(t, deltas, p, gamma, 1.0, t[-1])
@@ -719,35 +807,6 @@ class TestPeakSearch:
         got = loading_efficiency_penalty(j, 5e-6, n_mc=500, seed=3, t_points=163)
         assert len(evaluated_columns) > 1 and min(evaluated_columns) == 2
         assert (got.value, got.mc_error) == (value, mc_error)
-
-
-class TestClickRate:
-    def test_affine_in_population(self):
-        c = CountModel(eta_chain=0.1, dark_rate=3.0, pulse_rate=1000.0)
-        p_sw = 0.032
-        pops = np.array([0.0, 0.5, 1.0, 4.0])
-        rates = np.array([click_rate(p, p_sw, c) for p in pops])
-        slope = c.pulse_rate * p_sw * c.eta_chain
-        np.testing.assert_allclose(rates, c.dark_rate + slope * pops, rtol=1e-12)
-
-    def test_zero_population_dark_only(self):
-        c = CountModel(eta_chain=0.1, dark_rate=0.0, pulse_rate=1000.0)
-        assert click_rate(0.0, 0.032, c) == 0.0
-
-    def test_single_phonon_rate(self):
-        # oracle: direct product
-        c = CountModel(eta_chain=0.61 * 0.1, dark_rate=0.0, pulse_rate=500.0)
-        assert click_rate(1.0, 0.032, c) == pytest.approx(500.0 * 0.032 * 0.061, rel=1e-12)
-
-    def test_thermal_background_vs_loaded_peak(self):
-        # red-pulse background over on-resonance counts follows the population
-        # ratio; with a loaded peak a few phonons high the background sits at
-        # the ~10% level as in the measured conversion scan
-        c = CountModel(eta_chain=0.1, dark_rate=0.0, pulse_rate=1000.0)
-        n_th, n_loaded = 0.55, 4.0
-        ratio = click_rate(n_th, 0.032, c) / click_rate(n_th + n_loaded, 0.032, c)
-        assert ratio == pytest.approx(n_th / (n_th + n_loaded), rel=1e-12)
-        assert ratio < 0.2
 
 
 class TestEfficiencyBudget:
@@ -800,20 +859,6 @@ class TestEfficiencyBudget:
         op = OperatingPoint(mode="9.999GHz", optical_pulse=device.red_pulse())
         with pytest.raises(ParameterError, match="electromechanical-network"):
             efficiency_budget(device, op)
-
-
-class TestPerPumpPhotonEfficiency:
-    def test_paper_figure_of_merit(self):
-        eta = per_pump_photon_efficiency(7.0e-3, 3.6e-6, 0.61)
-        assert eta == pytest.approx(0.75e-7, rel=0.25)
-
-    def test_zero_cooperativity(self):
-        assert per_pump_photon_efficiency(0.0, 3.6e-6, 0.61) == 0.0
-
-    def test_linear_regime_doubling(self):
-        lo = per_pump_photon_efficiency(1e-5, 3.6e-6, 0.61)
-        hi = per_pump_photon_efficiency(2e-5, 3.6e-6, 0.61)
-        assert hi == pytest.approx(2 * lo, rel=1e-3)
 
 
 class TestThermalVsPulseEnergy:
