@@ -265,6 +265,13 @@ _RULE_SPAN = 9.0
 _RULE_MAX_NODES = 4096
 
 
+def _rule_size(j: JitterModel, u_max: float) -> tuple[float, int]:
+    """Spacing (standard deviations) and node count of the quadrature rule (see _ensemble)."""
+    s = 2.0 * np.pi * j.sigma_hz * min(u_max, 80.0 / j.intrinsic_gamma)
+    h = 2.0 * np.pi / (s + _RULE_SPAN)
+    return h, 2 * math.ceil(_RULE_SPAN / h) + 1
+
+
 def _ensemble(j: JitterModel, method: str, n_mc: int, seed, u_max: float):
     """Jitter offsets x_j (Hz) and weights p_j of the ensemble mean.
 
@@ -290,14 +297,13 @@ def _ensemble(j: JitterModel, method: str, n_mc: int, seed, u_max: float):
             raise ParameterError(f"seed must be a non-negative integer, got {seed}")
         return np.random.default_rng(seed).normal(0.0, j.sigma_hz, n_mc), np.ones(n_mc)
     if method == "quadrature":
-        s = 2.0 * np.pi * j.sigma_hz * min(u_max, 80.0 / j.intrinsic_gamma)
-        h = 2.0 * np.pi / (s + _RULE_SPAN)
-        k = math.ceil(_RULE_SPAN / h)
-        if 2 * k + 1 > _RULE_MAX_NODES:
+        h, nodes = _rule_size(j, u_max)
+        if nodes > _RULE_MAX_NODES:
             raise ParameterError(
                 f"quadrature at sigma = {j.sigma_hz:.0f} Hz over {u_max * 1e6:.4g} us needs "
-                f"{2 * k + 1} nodes, more than {_RULE_MAX_NODES}; use --method mc"
+                f"{nodes} nodes, more than {_RULE_MAX_NODES}; use --method mc"
             )
+        k = nodes // 2
         z = h * np.arange(-k, k + 1)
         return j.sigma_hz * z, h / math.sqrt(2.0 * np.pi) * np.exp(-0.5 * z * z)
     raise ParameterError(f"unknown method {method!r}")
@@ -754,6 +760,12 @@ def anchor_loading_window(
             )
         lo, f_lo = hi, f_hi
         hi = min(2.0 * hi, longest)
+        if _rule_size(j, hi)[1] > _RULE_MAX_NODES:
+            raise CalibrationError(
+                f"penalty target {penalty_target} unreachable: {f_lo + penalty_target:.2f} at "
+                f"a {lo*1e6:.0f} us loading window, and the quadrature rule for {hi*1e6:.0f} us "
+                f"at sigma = {j.sigma_hz:.0f} Hz needs more than {_RULE_MAX_NODES} nodes"
+            )
         f_hi = excess_penalty(hi)
     window = brent_root(excess_penalty, lo, hi, f_lo, f_hi, xtol=1e-9)
     return replace(j, loading_window_s=float(window))

@@ -688,11 +688,38 @@ class TestLongPulseQuadrature:
         want = exact_means(300e-6, TWO_PI * detuning_hz, j.sigma_hz, j.intrinsic_gamma)
         assert trace.population[-1] == pytest.approx(float(want), rel=1e-12)
 
+    def test_spectrum_matches_exact_mean(self, device):
+        j, offsets = device.jitter, np.array([0.0, 15e3, -40e3])
+        s = PulseSchedule(2.799e9, 300e-6, mw_drive_rate=3.0)
+        counts = conversion_spectrum(s, j, offsets, 0.0, method="quadrature")[:, 1]
+        want = [9.0 * exact_means(300e-6, TWO_PI * f, j.sigma_hz, j.intrinsic_gamma)
+                for f in offsets]
+        np.testing.assert_allclose(counts, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("u_max", [26e-6, 2e-3, math.inf], ids=["26us", "2ms", "inf"])
+    def test_rule_integrates_gaussian_moments(self, u_max):
+        # the trapezoid rule of N(0, sigma^2) integrates its low moments to round-off
+        j = gaussian(33e3)
+        x, p = _ensemble(j, "quadrature", 0, None, u_max)
+        assert x.size == quadrature_nodes(j, u_max)
+        z = x / j.sigma_hz
+        assert p.sum() == pytest.approx(1.0, rel=1e-14)
+        assert (p * z**2).sum() == pytest.approx(1.0, rel=1e-13)
+        assert (p * z**4).sum() == pytest.approx(3.0, rel=1e-13)
+
     def test_anchor_reaches_a_long_window_target(self, device):
         j = anchor_loading_window(device.jitter, 12.0)
         assert 150e-6 < j.loading_window_s < 300e-6
         p = loading_efficiency_penalty(j, n_mc=100_000)
         assert abs(p.value - 12.0) < 3 * p.mc_error
+
+    def test_anchor_past_the_node_ceiling_is_a_calibration_error(self):
+        # at 200 kHz the doubling reaches 1.28 ms, whose rule needs ~4600 nodes,
+        # before the penalty reaches 150; the anchor has no Monte Carlo to fall back on
+        j = gaussian(200e3, line_fwhm_hz=400e3)
+        assert quadrature_nodes(j, 1.28e-3) > pulsed._RULE_MAX_NODES
+        with pytest.raises(CalibrationError, match="unreachable.*needs more than 4096 nodes"):
+            anchor_loading_window(j, 150.0)
 
 
 def dense_penalty(j, pulse_s, n_mc, seed, method, t_points=2001):
